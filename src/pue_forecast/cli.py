@@ -189,6 +189,11 @@ def cmd_tune(args: argparse.Namespace) -> None:
         ckpt.save(ckpt_path)
         outputs.append(str(ckpt_path))
     n_failed = sum(1 for r in report.records if r.failed)
+    if n_failed == len(report.records):
+        raise RuntimeError(
+            f"all {n_failed} configs failed, no checkpoint written; "
+            f"first error: {report.records[0].error}"
+        )
     if n_failed:
         log.warning("%d of %d configs failed", n_failed, len(report.records))
     _write_manifest(

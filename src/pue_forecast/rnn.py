@@ -12,47 +12,48 @@ the window and SUMS the two per-step hidden states (elementwise, not
 concatenation). Stacked layers consume the previous layer's full output
 sequence; the readout is an affine map of the final layer's last-step state.
 
+One scan serves every entry point; a cell step is a one-step scan. It carries
+sequences time-major ([W, B, features]) and caches r, z, cand gate-major
+([3, W, B, H]), so each step works in place on contiguous [B, H] blocks and each
+gate's whole sequence is one [W*B, H] matrix. The input projections of all
+steps are one product ahead of the recurrence; the backward pass writes the
+gate grads over the cache and forms each gradient with one product over W*B rows.
+
 Two linear-algebra strategies back the same scan code. The exact strategy
-accumulates matmuls column by column so every window's outputs are bitwise
-independent of how windows are batched together; all prediction/evaluation
-entry points use it. The fast strategy uses BLAS matmuls and backs the
-training loop, where only run-to-run determinism matters.
+issues one BLAS vector-matrix product per window and step: each window takes
+the same call with the same shape and strides in any batch, so its outputs are
+bitwise independent of how windows are batched together; all
+prediction/evaluation entry points use it. The fast strategy (np.matmul over
+the batch) backs the training loop, where only run-to-run determinism matters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-MatMul = Callable[[np.ndarray, np.ndarray], np.ndarray]
+MatMul = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-def _matmul_exact(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """a @ m accumulated column by column.
+def _matmul_exact(a: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a @ m as one BLAS vector-matrix product per row of a [N, K].
 
-    Each output element is a fixed-order fold of elementwise products, so row
-    k of the result is bitwise identical no matter how many rows a has.
+    Row k of the result is bitwise identical no matter how many rows a has.
+    m is [K, M] or a stack [G, K, M], giving out [N, M] or [G, N, M].
     """
-    out = np.zeros((a.shape[0], m.shape[1]))
-    tmp = np.empty_like(out)
-    for j in range(a.shape[1]):
-        np.multiply(a[:, j, None], m[j][None, :], out=tmp)
-        out += tmp
+    np.matmul(a[..., None, :], m[..., None, :, :], out=out[..., None, :])
     return out
 
 
-def _matmul_fast(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return a @ m
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        pos = 1.0 / (1.0 + np.exp(-x))
-        ex = np.exp(x)
-        neg = ex / (1.0 + ex)
-    return np.where(x >= 0, pos, neg)
+    """Logistic sigmoid in place, as 0.5 * (1 + tanh(x / 2))."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= 0.5
+    return x
 
 
 @dataclass
@@ -85,17 +86,7 @@ class GruParams:
         return self.U_r.shape[1]
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("W_r", self.W_r),
-            ("W_z", self.W_z),
-            ("W_h", self.W_h),
-            ("U_r", self.U_r),
-            ("U_z", self.U_z),
-            ("U_h", self.U_h),
-            ("b_r", self.b_r),
-            ("b_z", self.b_z),
-            ("b_h", self.b_h),
-        ]
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
     @staticmethod
     def zeros(input_dim: int, hidden_dim: int) -> "GruParams":
@@ -219,7 +210,9 @@ class CellCache:
 def gru_cell(
     p: GruParams, h_prev: np.ndarray, x_t: np.ndarray
 ) -> tuple[np.ndarray, CellCache]:
-    """One recurrence step on plain vectors; returns (h_t, cache)."""
+    """One recurrence step on plain vectors; returns (h_t, cache).
+
+    A one-step exact scan from h_prev, so bitwise equal to a W=1 window."""
     h_prev = np.asarray(h_prev, dtype=np.float64).reshape(-1)
     x_t = np.asarray(x_t, dtype=np.float64).reshape(-1)
     if h_prev.shape[0] != p.hidden_dim or x_t.shape[0] != p.input_dim:
@@ -227,24 +220,18 @@ def gru_cell(
             f"expected h_prev[{p.hidden_dim}], x_t[{p.input_dim}]; "
             f"got {h_prev.shape[0]}, {x_t.shape[0]}"
         )
-    hp = h_prev[None, :]
-    x = x_t[None, :]
-    # additions ordered exactly as in the batched scan so a one-step cell is
-    # bitwise identical to a W=1 window
-    r = _sigmoid(_matmul_exact(x, p.U_r.T) + p.b_r + _matmul_exact(hp, p.W_r.T))
-    z = _sigmoid(_matmul_exact(x, p.U_z.T) + p.b_z + _matmul_exact(hp, p.W_z.T))
-    cand = np.tanh(_matmul_exact(x, p.U_h.T) + p.b_h + _matmul_exact(r * hp, p.W_h.T))
-    h = (1.0 - z) * hp + z * cand
-    return h[0], CellCache(r=r[0], z=z[0], cand=cand[0], h_prev=h_prev, x=x_t)
+    out, cache = _gru_scan(p, x_t[None, None], _matmul_exact, h0=h_prev[None])
+    r, z, cand = cache.gates[:, 0, 0]
+    return out[0, 0], CellCache(r=r, z=z, cand=cand, h_prev=h_prev, x=x_t)
 
 
 @dataclass
 class ScanCache:
-    seq: np.ndarray      # [B, W, I] input to the scan
-    r: np.ndarray        # [B, W, H]
-    z: np.ndarray
-    cand: np.ndarray
-    h_prev: np.ndarray
+    seq: np.ndarray      # [W, B, I] input to the scan, time-major
+    gates: np.ndarray    # [3, W, B, H] r, z, cand; the backward pass overwrites them
+    states: np.ndarray   # [W + 1, B, H] h_t in time order plus the initial state
+    rh: np.ndarray       # [W, B, H] r_t * h_prev
+    reverse: bool        # scanned right to left, so the initial state is states[W]
 
 
 @dataclass
@@ -259,86 +246,92 @@ class ModelCache:
     last_hidden: np.ndarray  # [B, H] final layer, last step
 
 
-def _gru_scan(p: GruParams, seq: np.ndarray, mm: MatMul) -> tuple[np.ndarray, ScanCache]:
-    B, W, _ = seq.shape
+def _gru_scan(
+    p: GruParams, seq: np.ndarray, mm: MatMul, reverse: bool = False,
+    h0: np.ndarray | None = None,
+) -> tuple[np.ndarray, ScanCache]:
+    """Scan [W, B, I] (right to left if reverse) from h0 [B, H], default zeros."""
+    W, B, I = seq.shape
     H = p.hidden_dim
-    flat = np.ascontiguousarray(seq).reshape(B * W, p.input_dim)
-    proj_r = (mm(flat, p.U_r.T) + p.b_r).reshape(B, W, H)
-    proj_z = (mm(flat, p.U_z.T) + p.b_z).reshape(B, W, H)
-    proj_h = (mm(flat, p.U_h.T) + p.b_h).reshape(B, W, H)
-
-    h = np.zeros((B, H))
-    out = np.empty((B, W, H))
-    rs = np.empty((B, W, H))
-    zs = np.empty((B, W, H))
-    cs = np.empty((B, W, H))
-    hp = np.empty((B, W, H))
-    for t in range(W):
-        r = _sigmoid(proj_r[:, t] + mm(h, p.W_r.T))
-        z = _sigmoid(proj_z[:, t] + mm(h, p.W_z.T))
-        cand = np.tanh(proj_h[:, t] + mm(r * h, p.W_h.T))
-        hp[:, t] = h
-        h = (1.0 - z) * h + z * cand
-        rs[:, t] = r
-        zs[:, t] = z
-        cs[:, t] = cand
-        out[:, t] = h
-    return out, ScanCache(seq=seq, r=rs, z=zs, cand=cs, h_prev=hp)
+    gates = np.empty((3, W, B, H))
+    mm(seq.reshape(W * B, I), np.stack([p.U_r.T, p.U_z.T, p.U_h.T]),
+       gates.reshape(3, W * B, H))
+    gates += np.stack([p.b_r, p.b_z, p.b_h])[:, None, None, :]
+    W_rz = np.stack([p.W_r.T, p.W_z.T])
+    W_h = np.ascontiguousarray(p.W_h.T)
+    rev = int(reverse)
+    states = np.empty((W + 1, B, H))
+    states[W * rev] = 0.0 if h0 is None else h0
+    rh = np.empty((W, B, H))
+    buf = np.empty((2, B, H))
+    for t in reversed(range(W)) if reverse else range(W):
+        h, h_new = states[t + rev], states[t + 1 - rev]
+        r, z, cand = gates[:, t]
+        rz = gates[:2, t]
+        rz += mm(h, W_rz, buf)
+        _sigmoid(rz)
+        np.multiply(r, h, out=rh[t])
+        cand += mm(rh[t], W_h, buf[0])
+        np.tanh(cand, out=cand)
+        np.subtract(cand, h, out=h_new)
+        h_new *= z
+        h_new += h
+    return states[1 - rev : 1 - rev + W], ScanCache(seq, gates, states, rh, reverse)
 
 
 def _gru_scan_backward(
     p: GruParams, cache: ScanCache, d_out: np.ndarray, mm: MatMul
 ) -> tuple[GruParams, np.ndarray]:
-    """Backprop one scan; returns (parameter grads as a GruParams, d_input_seq)."""
-    B, W, H = d_out.shape
-    g = GruParams.zeros(p.input_dim, p.hidden_dim)
-    d_seq = np.empty((B, W, p.input_dim))
+    """Backprop one scan; returns (parameter grads as a GruParams, d_input_seq).
+
+    Writes the gate pre-activation grads over cache.gates, so a cache serves
+    one backward pass."""
+    W, B, H = d_out.shape
+    g, rev = cache.gates, int(cache.reverse)
     dh = np.zeros((B, H))
-    for t in reversed(range(W)):
-        dh_total = d_out[:, t] + dh
-        r = cache.r[:, t]
-        z = cache.z[:, t]
-        cand = cache.cand[:, t]
-        h_prev = cache.h_prev[:, t]
-        x = cache.seq[:, t]
+    t1, t2 = np.empty((2, B, H))
+    for t in range(W) if cache.reverse else reversed(range(W)):
+        dh += d_out[t]
+        r, z, cand = g[:, t]
+        h_prev = cache.states[t + rev]
+        np.subtract(cand, h_prev, out=t1)
+        t1 *= dh
+        t1 *= z
+        np.multiply(cand, cand, out=cand)
+        np.subtract(1.0, cand, out=cand)
+        cand *= z
+        cand *= dh                            # da_c
+        np.subtract(1.0, z, out=t2)
+        dh *= t2
+        np.multiply(t1, t2, out=z)            # da_z
+        mm(cand, p.W_h, t1)                   # grad of r * h_prev
+        np.multiply(t1, r, out=t2)
+        dh += t2
+        t1 *= h_prev
+        np.subtract(1.0, r, out=t2)
+        t2 *= r
+        np.multiply(t1, t2, out=r)            # da_r
+        np.add(mm(r, p.W_r, t1), mm(z, p.W_z, t2), out=t2)
+        dh += t2
 
-        da_z = dh_total * (cand - h_prev) * z * (1.0 - z)
-        da_c = dh_total * z * (1.0 - cand * cand)
-        d_rh = mm(da_c, p.W_h)
-        da_r = d_rh * h_prev * r * (1.0 - r)
-
-        g.W_h += da_c.T @ (r * h_prev)
-        g.U_h += da_c.T @ x
-        g.b_h += da_c.sum(axis=0)
-        g.W_z += da_z.T @ h_prev
-        g.U_z += da_z.T @ x
-        g.b_z += da_z.sum(axis=0)
-        g.W_r += da_r.T @ h_prev
-        g.U_r += da_r.T @ x
-        g.b_r += da_r.sum(axis=0)
-
-        d_seq[:, t] = da_r @ p.U_r + da_z @ p.U_z + da_c @ p.U_h
-        dh = dh_total * (1.0 - z) + d_rh * r + da_z @ p.W_z + da_r @ p.W_r
-    return g, d_seq
+    n = W * B
+    da = g.reshape(3, n, H)
+    da_t = da.transpose(0, 2, 1)
+    d_U = np.matmul(da_t, cache.seq.reshape(n, -1))
+    d_W = np.matmul(da_t[:2], cache.states[rev : rev + W].reshape(n, H))
+    d_W_h = da_t[2] @ cache.rh.reshape(n, H)
+    d_seq = da[0] @ p.U_r
+    d_seq += da[1] @ p.U_z
+    d_seq += da[2] @ p.U_h
+    return GruParams(*d_W, d_W_h, *d_U, *da.sum(axis=1)), d_seq.reshape(W, B, -1)
 
 
 def _bigru_layer_forward(
     layer: BiGruLayer, seq: np.ndarray, mm: MatMul
 ) -> tuple[np.ndarray, LayerCache]:
     out_f, cache_f = _gru_scan(layer.forward, seq, mm)
-    rev = np.ascontiguousarray(seq[:, ::-1])
-    out_b_rev, cache_b = _gru_scan(layer.backward, rev, mm)
-    out = out_f + out_b_rev[:, ::-1]
-    return out, LayerCache(fwd=cache_f, bwd=cache_b)
-
-
-def _bigru_layer_backward(
-    layer: BiGruLayer, cache: LayerCache, d_out: np.ndarray, mm: MatMul
-) -> tuple[GruParams, GruParams, np.ndarray]:
-    g_f, d_seq_f = _gru_scan_backward(layer.forward, cache.fwd, d_out, mm)
-    d_out_rev = np.ascontiguousarray(d_out[:, ::-1])
-    g_b, d_seq_b = _gru_scan_backward(layer.backward, cache.bwd, d_out_rev, mm)
-    return g_f, g_b, d_seq_f + d_seq_b[:, ::-1]
+    out_b, cache_b = _gru_scan(layer.backward, seq, mm, reverse=True)
+    return out_f + out_b, LayerCache(fwd=cache_f, bwd=cache_b)
 
 
 def bigru_forward(layer: BiGruLayer, X_seq: np.ndarray) -> np.ndarray:
@@ -350,8 +343,8 @@ def bigru_forward(layer: BiGruLayer, X_seq: np.ndarray) -> np.ndarray:
     X_seq = np.asarray(X_seq, dtype=np.float64)
     if X_seq.ndim != 2 or X_seq.shape[1] != layer.input_dim:
         raise ValueError(f"expected [W, {layer.input_dim}] input, got {X_seq.shape}")
-    out, _ = _bigru_layer_forward(layer, X_seq[None], _matmul_exact)
-    return out[0]
+    out, _ = _bigru_layer_forward(layer, X_seq[:, None], _matmul_exact)
+    return out[:, 0]
 
 
 def gru_forward(p: GruParams, X_seq: np.ndarray) -> np.ndarray:
@@ -359,8 +352,8 @@ def gru_forward(p: GruParams, X_seq: np.ndarray) -> np.ndarray:
     X_seq = np.asarray(X_seq, dtype=np.float64)
     if X_seq.ndim != 2 or X_seq.shape[1] != p.input_dim:
         raise ValueError(f"expected [W, {p.input_dim}] input, got {X_seq.shape}")
-    out, _ = _gru_scan(p, X_seq[None], _matmul_exact)
-    return out[0]
+    out, _ = _gru_scan(p, X_seq[:, None], _matmul_exact)
+    return out[:, 0]
 
 
 def forward_batch(
@@ -372,8 +365,8 @@ def forward_batch(
         raise ValueError(
             f"expected windows [B, W, {model.input_dim}], got shape {X.shape}"
         )
-    mm = _matmul_exact if exact else _matmul_fast
-    seq = X
+    mm = _matmul_exact if exact else np.matmul
+    seq = np.ascontiguousarray(X.transpose(1, 0, 2))
     layer_caches: list[LayerCache] = []
     for layer in model.layers:
         if model.mode == "bigru":
@@ -382,7 +375,7 @@ def forward_batch(
             seq, scan = _gru_scan(layer, seq, mm)
             cache = LayerCache(fwd=scan, bwd=None)
         layer_caches.append(cache)
-    last = seq[:, -1, :]
+    last = seq[-1]
     if exact:
         pred = np.full(X.shape[0], model.b_o[0])
         for j in range(last.shape[1]):
@@ -395,29 +388,31 @@ def forward_batch(
 def backward_batch(
     model: Model, cache: ModelCache, d_pred: np.ndarray
 ) -> Model:
-    """Backprop scalar-prediction grads [B] to a Model-shaped gradient container."""
+    """Backprop scalar-prediction grads [B] to a Model-shaped gradient container.
+
+    Consumes the cache: its gate values are overwritten with gradients.
+    """
     if len(cache.layers) != len(model.layers):
         raise ValueError("cache does not match model layer stack")
     d_pred = np.asarray(d_pred, dtype=np.float64).reshape(-1)
     if cache.last_hidden.shape[0] != d_pred.shape[0]:
         raise ValueError("cache batch size does not match gradient batch size")
-    mm = _matmul_fast
-    B = d_pred.shape[0]
-
     dw_o = cache.last_hidden.T @ d_pred
     db_o = np.array([d_pred.sum()])
-    d_last = d_pred[:, None] * model.w_o[None, :]
 
     grad_layers: list = []
-    W = cache.layers[-1].fwd.seq.shape[1]
-    d_seq = np.zeros((B, W, model.layers[-1].hidden_dim))
-    d_seq[:, -1] = d_last
+    W = cache.layers[-1].fwd.seq.shape[0]
+    d_seq = np.zeros((W, d_pred.shape[0], model.layers[-1].hidden_dim))
+    d_seq[-1] = d_pred[:, None] * model.w_o[None, :]
     for layer, lcache in zip(reversed(model.layers), reversed(cache.layers)):
         if model.mode == "bigru":
-            g_f, g_b, d_seq = _bigru_layer_backward(layer, lcache, d_seq, mm)
+            g_f, d_seq_f = _gru_scan_backward(layer.forward, lcache.fwd, d_seq, np.matmul)
+            g_b, d_seq_b = _gru_scan_backward(layer.backward, lcache.bwd, d_seq, np.matmul)
             grad_layers.append(BiGruLayer(forward=g_f, backward=g_b))
+            d_seq = d_seq_f
+            d_seq += d_seq_b
         else:
-            g, d_seq = _gru_scan_backward(layer, lcache.fwd, d_seq, mm)
+            g, d_seq = _gru_scan_backward(layer, lcache.fwd, d_seq, np.matmul)
             grad_layers.append(g)
     grad_layers.reverse()
     return Model(layers=grad_layers, w_o=dw_o, b_o=db_o, mode=model.mode)

@@ -33,6 +33,13 @@ from .rnn import Model, backward_batch, forward_batch, init_params, predict_batc
 log = logging.getLogger(__name__)
 
 CHECKPOINT_FORMAT_VERSION = 1
+_CHECKPOINT_FIELDS = (
+    "config", "n_features", "shapes", "params_b64", "best_epoch", "best_loss",
+    "metrics", "feature_names", "normalization",
+)
+_NORMALIZATION_FIELDS = (
+    "feature_names", "feature_min", "feature_max", "target_min", "target_max",
+)
 
 DEFAULT_LAYERS_GRID = (1, 2, 3)
 DEFAULT_HIDDEN_GRID = (10, 25, 50, 75, 100)
@@ -80,6 +87,8 @@ class TrainConfig:
             raise ValueError("eval_every must not exceed max_epochs")
         if self.mode not in ("gru", "bigru"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be positive, got {self.grad_clip!r}")
 
 
 @dataclass(frozen=True)
@@ -207,21 +216,36 @@ class Checkpoint:
 
     @staticmethod
     def load(path: str | Path) -> "Checkpoint":
+        """Read a checkpoint written by save; a malformed file raises ValueError
+        naming the file and the field."""
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(
-                f"unsupported checkpoint format version {doc.get('format_version')!r}"
+                f"{path}: unsupported checkpoint format version {doc.get('format_version')!r}"
             )
-        params = np.frombuffer(
-            base64.b64decode(doc["params_b64"]), dtype="<f8"
-        ).astype(np.float64)
-        if not np.isfinite(params).all():
-            raise ValueError("checkpoint parameters contain non-finite values")
+        _require_fields(path, doc, _CHECKPOINT_FIELDS)
         norm = doc["normalization"]
+        if norm is not None:
+            _require_fields(path, norm, _NORMALIZATION_FIELDS, "normalization.")
+        try:
+            config = TrainConfig(**doc["config"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: field 'config': {exc}") from None
+        shapes = [(n, tuple(s)) for n, s in doc["shapes"]]
+        payload = base64.b64decode(doc["params_b64"])
+        expected = sum(int(np.prod(s)) for _, s in shapes)
+        if len(payload) != 8 * expected:
+            raise ValueError(
+                f"{path}: field 'params_b64' holds {len(payload)} bytes; the "
+                f"shape manifest needs {expected} float64 values ({8 * expected} bytes)"
+            )
+        params = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        if not np.isfinite(params).all():
+            raise ValueError(f"{path}: field 'params_b64' contains non-finite values")
         return Checkpoint(
-            config=TrainConfig(**doc["config"]),
+            config=config,
             n_features=doc["n_features"],
-            shapes=[(n, tuple(s)) for n, s in doc["shapes"]],
+            shapes=shapes,
             params=params,
             best_epoch=doc["best_epoch"],
             best_loss=doc["best_loss"],
@@ -237,6 +261,14 @@ class Checkpoint:
                 target_max=norm["target_max"],
             ),
         )
+
+
+def _require_fields(
+    path: str | Path, doc: dict, names: tuple[str, ...], prefix: str = ""
+) -> None:
+    missing = [n for n in names if n not in doc]
+    if missing:
+        raise ValueError(f"{path}: checkpoint field {prefix}{missing[0]!r} is missing")
 
 
 def _flat_params(model: Model) -> np.ndarray:

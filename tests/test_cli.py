@@ -142,6 +142,17 @@ class TestTune:
         row = (outdir / "tune_report.csv").read_text().strip().split("\n")[1]
         assert row.split(",")[0] == str(len(doc[0]["selected_features"]))
 
+    def test_all_configs_failed_is_an_error(self, small_csv, tmp_path, capsys):
+        # a step of 1e300 overflows the next forward pass, so training diverges
+        code = run_cli(
+            "tune", "-i", str(small_csv), "-o", str(tmp_path / "tune"),
+            "--mode", "gru", "--layers", "1", "--hidden", "2", "--lr", "1e300",
+            "--window", "3", "--max-epochs", "4", "--eval-every", "2",
+        )
+        assert code == 1
+        assert "all 1 configs failed" in capsys.readouterr().err
+        assert not list((tmp_path / "tune").glob("checkpoint_*.json"))
+
 
 class TestPredict:
     def _tune(self, csv_path, tmp_path, window="4"):
@@ -218,6 +229,23 @@ class TestPredict:
                        "-o", str(tmp_path / "p.csv"))
         assert code == 1
         assert "outdoor_temp_c" in capsys.readouterr().err
+
+    def test_malformed_checkpoint_names_file_and_field(self, small_csv, tmp_path, capsys):
+        ckpt = self._tune(small_csv, tmp_path)
+        doc = json.loads(ckpt.read_text())
+        short = dict(doc, params_b64=doc["params_b64"][:-12])
+        missing = {k: v for k, v in doc.items() if k != "params_b64"}
+        no_norm_min = dict(doc, normalization={
+            k: v for k, v in doc["normalization"].items() if k != "feature_min"})
+        for name, bad in (("short", short), ("missing", missing), ("norm", no_norm_min)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(bad))
+            code = run_cli("predict", "-c", str(path), "-i", str(small_csv),
+                           "-o", str(tmp_path / "p.csv"))
+            err = capsys.readouterr().err
+            assert code == 1
+            assert str(path) in err
+            assert ("feature_min" if name == "norm" else "params_b64") in err
 
     def test_input_shorter_than_window(self, small_csv, tmp_path, capsys):
         ckpt = self._tune(small_csv, tmp_path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     finite_diff_worst_rel_err,
@@ -186,6 +188,35 @@ class TestModelForward:
         exact = forward_batch(model, X, exact=True)[0]
         fast = forward_batch(model, X, exact=False)[0]
         assert np.max(np.abs(exact - fast)) < 1e-12
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        mode=st.sampled_from(["gru", "bigru"]),
+        layers=st.integers(1, 3),
+        hidden=st.integers(1, 64),
+        n_features=st.integers(1, 9),
+        length=st.integers(1, 7),
+        batch=st.integers(1, 300),
+        cuts=st.lists(st.integers(0, 300), max_size=4),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_exact_path_batch_invariance(self, mode, layers, hidden, n_features,
+                                         length, batch, cuts, seed):
+        """Random splits, single windows and rows shifted by one float64 give the
+        whole batch's predictions bitwise; the fast path agrees to 1e-12."""
+        model = init_params(n_features, hidden, layers, mode, seed=seed)
+        X = np.random.default_rng(seed).standard_normal((batch, length, n_features))
+        whole = predict_batch(model, X)
+        bounds = [0, *sorted(c % (batch + 1) for c in cuts), batch]
+        parts = [predict_batch(model, X[a:b]) for a, b in zip(bounds, bounds[1:])]
+        assert np.array_equal(np.concatenate(parts), whole)
+        single = np.array([model_forward(model, X[i])[0] for i in range(batch)])
+        assert np.array_equal(single, whole)
+        shifted = np.empty(X.size + 1)[1:].reshape(X.shape)
+        shifted[...] = X
+        assert np.array_equal(predict_batch(model, shifted), whole)
+        fast = forward_batch(model, X, exact=False)[0]
+        assert np.max(np.abs(fast - whole)) < 1e-12
 
     def test_input_validation(self):
         model = init_params(3, 4, 1, "gru", seed=0)

@@ -159,6 +159,10 @@ class TestTrain:
                         max_epochs=10, eval_every=20)
         with pytest.raises(ValueError, match="mode"):
             TrainConfig(layers=1, hidden_dim=2, learning_rate=0.1, mode="rnn")
+        # a negative threshold flips the clipped gradient's sign; zero zeroes it
+        for clip in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="grad_clip"):
+                TrainConfig(layers=1, hidden_dim=2, learning_rate=0.1, grad_clip=clip)
 
 
 class TestCheckpointPersistence:
