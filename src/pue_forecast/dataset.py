@@ -190,6 +190,13 @@ def load_csv(path: str | Path) -> Dataset:
                     f"{path}: row {r}, column '{TIMESTAMP_COLUMN}': "
                     f"invalid ISO-8601 timestamp {ts!r}"
                 ) from None
+            if prev_ts is not None and (
+                (parsed.utcoffset() is None) != (prev_ts.utcoffset() is None)
+            ):
+                raise CsvFormatError(
+                    f"{path}: row {r}, column '{TIMESTAMP_COLUMN}': timestamp {ts!r} "
+                    f"mixes offset-naive and offset-aware timestamps"
+                )
             if prev_ts is not None and parsed <= prev_ts:
                 raise CsvFormatError(
                     f"{path}: row {r}, column '{TIMESTAMP_COLUMN}': "

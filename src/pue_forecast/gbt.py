@@ -11,22 +11,11 @@ ties break toward the lowest feature index, then the lowest threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 _ROUTE_CELLS = 1 << 20  # (tree, row) pairs routed at once by gbt_predict
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """One node; split_feature is -1 for leaves, child indices -1 likewise."""
-
-    split_feature: int
-    threshold: float
-    left: int
-    right: int
-    leaf_value: float
 
 
 @dataclass
@@ -42,19 +31,6 @@ class Tree:
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
-
-    @property
-    def nodes(self) -> list[TreeNode]:
-        return [
-            TreeNode(
-                int(self.feature[i]),
-                float(self.threshold[i]),
-                int(self.left[i]),
-                int(self.right[i]),
-                float(self.value[i]),
-            )
-            for i in range(self.n_nodes)
-        ]
 
     def depth(self) -> int:
         depths = np.zeros(self.n_nodes, dtype=np.int64)
@@ -113,6 +89,33 @@ class GbtModel:
         return "\n".join(parts)
 
 
+def _presort(X: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable per-block column presort of the stacked X for _TreeBuilder.
+
+    Returns three [n_features, n_rows] int32 arrays: per block, the stacked
+    row ids in ascending value order; the dense value rank at each of those
+    positions (equal ranks mark equal adjacent values; a rank step between
+    two blocks is never read, as no node spans blocks); and each row's rank.
+    Feature rows are independent and each block keeps to its own span of
+    positions, so some feature rows and the positions of the leading blocks
+    are the presort of that column subset and those blocks.
+    """
+    n, f = X.shape
+    bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    sort_rows = np.empty((f, n), dtype=np.int32)
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        sort_rows[:, a:b] = np.argsort(X[a:b], axis=0, kind="stable").T
+        sort_rows[:, a:b] += a
+    x_sorted = np.take_along_axis(X.T, sort_rows, axis=1)
+    dense = np.zeros((f, n), dtype=np.int32)
+    if n > 1:
+        np.cumsum(x_sorted[:, 1:] != x_sorted[:, :-1], axis=1, dtype=np.int32,
+                  out=dense[:, 1:])
+    rank = np.empty((f, n), dtype=np.int32)
+    np.put_along_axis(rank, sort_rows, dense, axis=1)
+    return sort_rows, dense, rank
+
+
 class _TreeBuilder:
     """Grows one tree per root, all roots level-wise in one pass, against fixed
     presorted feature columns.
@@ -136,8 +139,8 @@ class _TreeBuilder:
     only touched when a chosen split needs its midpoint threshold.
     """
 
-    def __init__(self, X: np.ndarray, sizes, sort_idx: np.ndarray,
-                 x_sorted: np.ndarray, max_depth: int, reg_lambda: float):
+    def __init__(self, X: np.ndarray, sizes, presort: tuple, max_depth: int,
+                 reg_lambda: float):
         n, f = X.shape
         self.X = np.ascontiguousarray(X)
         self.sizes = np.asarray(sizes, dtype=np.int64)
@@ -147,21 +150,11 @@ class _TreeBuilder:
         self.max_depth = max_depth
         self.lam = reg_lambda
         self.n, self.f = n, f
-        # per-root presorts hold root-local row ids; shift them to stacked rows
-        self.sort_rows = np.ascontiguousarray(sort_idx.T, dtype=np.int32)
-        self.sort_rows += np.repeat(bounds[:-1], self.sizes).astype(np.int32)
+        # the presort of exactly these rows and columns (see _presort); ranks
+        # are read by flat offset c*n + row
+        self.sort_rows, self.dense0, rank = presort
+        self.rank_flat = np.ascontiguousarray(rank).ravel()
         self.rowoff = (n * np.arange(f, dtype=np.int32))[:, None]
-        # dense per-feature value ranks, by flat offset c*n + row: equal ranks
-        # mark equal adjacent values (a rank step between two roots is never
-        # read: no group spans roots)
-        xs_t = np.ascontiguousarray(x_sorted.T)
-        dense = np.zeros((f, n), dtype=np.int32)
-        if n > 1:
-            np.cumsum(xs_t[:, 1:] != xs_t[:, :-1], axis=1, dtype=np.int32,
-                      out=dense[:, 1:])
-        self.dense0 = dense
-        self.rank_flat = np.empty(n * f, dtype=np.int32)
-        self.rank_flat[(self.sort_rows + self.rowoff).ravel()] = dense.ravel()
         self.rows = np.arange(n)
         self.rows_i32 = np.arange(n, dtype=np.int32)
         self.root_first = np.zeros(n + 1, dtype=bool)
@@ -418,12 +411,11 @@ def gbt_fit(
     if reg_lambda < 0:
         raise ValueError("reg_lambda must be non-negative")
 
-    sort_idx = np.argsort(X, axis=0, kind="stable")
-    x_sorted = np.take_along_axis(X, sort_idx, axis=0)
+    sizes = (X.shape[0],)
     return _fit_core(
-        X, y, n_estimators, learning_rate, max_depth, reg_lambda, sort_idx, x_sorted,
-        (X.shape[0],),
-    )[0]
+        X, y, n_estimators, learning_rate, max_depth, reg_lambda, _presort(X, sizes),
+        sizes,
+    )[0][0]
 
 
 def _fit_core(
@@ -433,19 +425,23 @@ def _fit_core(
     learning_rate: float,
     max_depth: int,
     reg_lambda: float,
-    sort_idx: np.ndarray,
-    x_sorted: np.ndarray,
+    presort: tuple,
     sizes,
-) -> list[GbtModel]:
+    snapshots=None,
+) -> list[list[GbtModel]]:
     """Boosting loops of several independent fits, grown tree by tree in lockstep.
 
-    Fit k uses the k-th contiguous block of `sizes[k]` rows of X and y; its
-    block of `sort_idx` is the stable column argsort of those rows (row ids
-    local to the block) and `x_sorted` the matching sorted values. Returns one
-    model per block, each bitwise equal to fitting that block alone. Inputs
-    are trusted.
+    Fit k uses the k-th contiguous block of `sizes[k]` rows of X and y;
+    `presort` is `_presort(X, sizes)`. Grows `n_estimators` trees and returns,
+    for each tree count in `snapshots` (each 1..n_estimators; default
+    `(n_estimators,)`), one model per block equal bitwise to fitting that
+    block alone with that many trees: there is no subsampling or early
+    stopping, so a t-tree fit is the first t rounds of a longer one, and its
+    importances, gain total and losses are those rounds' running sums and
+    record. Inputs are trusted.
     """
-    builder = _TreeBuilder(X, sizes, sort_idx, x_sorted, max_depth, reg_lambda)
+    snapshots = (n_estimators,) if snapshots is None else tuple(snapshots)
+    builder = _TreeBuilder(X, sizes, presort, max_depth, reg_lambda)
     blocks = builder.blocks
     base = [float(y[a:b].mean()) for a, b in blocks]
     pred = np.repeat(base, builder.sizes)
@@ -459,7 +455,8 @@ def _fit_core(
         )
         for b in base
     ]
-    for _ in range(n_estimators):
+    taken: dict[int, list[GbtModel]] = {}
+    for n_trees in range(1, n_estimators + 1):
         residual = y - pred
         trees, leaf, gain_total, gain_by_feature = builder.build(residual)
         step = np.concatenate([t.value[leaf[a:b]] for t, (a, b) in zip(trees, blocks)])
@@ -470,7 +467,13 @@ def _fit_core(
             model.feature_importance += gain_by_feature[k]
             model.total_gain += float(gain_total[k])
             model.train_losses.append(float(np.mean(sq_err[a:b])))
-    return models
+        if n_trees in snapshots:
+            taken[n_trees] = [
+                replace(m, trees=m.trees[:], train_losses=m.train_losses[:],
+                        feature_importance=m.feature_importance.copy())
+                for m in models
+            ]
+    return [taken[t] for t in snapshots]
 
 
 def gbt_predict(m: GbtModel, X: np.ndarray) -> np.ndarray:

@@ -8,6 +8,13 @@ as the roots of one tree build, each bitwise equal to fitting it alone.
 Folds are contiguous chronological blocks, suiting time-series rows.
 Sweeping the estimator grid yields candidate feature sets ranked by their
 best-count CV MSE.
+
+The sweep runs the configs that share (learning_rate, max_depth, reg_lambda)
+together, one such group per job. Boosting has no subsampling and no early
+stopping, so a config with fewer trees fits exactly the leading trees of one
+with more: at every feature count, the configs whose surviving features
+agree share one build of the largest tree count and read their own models
+off it as snapshots, bitwise equal to separate fits.
 """
 
 from __future__ import annotations
@@ -16,13 +23,14 @@ import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import Dataset
-from .gbt import _fit_core, gbt_importance, gbt_predict
+from .gbt import _fit_core, _presort, gbt_importance, gbt_predict
 
 log = logging.getLogger(__name__)
 
@@ -93,78 +101,98 @@ def rfecv_run(
     Importances for elimination come from a fit on all rows of `ds` with the
     surviving features; ties eliminate the lowest feature index first. The
     best count is the CV-MSE argmin, ties resolved toward fewer features.
+    `seed` is accepted for interface stability; the procedure is deterministic.
+    """
+    return _rfecv_group(ds, [estimator_config], step, folds)[0]
+
+
+def _rfecv_group(
+    ds: Dataset, configs: list[GbtConfig], step: int, folds: int
+) -> list[RfecvResult]:
+    """rfecv_run for configs sharing (learning_rate, max_depth, reg_lambda).
+
+    All configs visit the same feature counts. At each count, the configs
+    whose surviving features agree form one group, and one `_fit_core` call
+    grows the group's largest tree count, snapshotting every member's count;
+    each config then scores and eliminates on its own. The folds' training
+    rows and (above one feature) all rows are one stacked root each,
+    presorted once; every call takes column slices of it.
     """
     if ds.n_features < 2:
         raise ValueError("need at least 2 features")
     if step < 1:
         raise ValueError("step must be positive")
-    cfg = estimator_config
+    lr, depth, lam = configs[0].learning_rate, configs[0].max_depth, configs[0].reg_lambda
     fold_list = make_folds(ds.n_samples, folds)
 
     X, y = ds.X, ds.y
-    # every count fits the folds' training rows and (above one feature) all
-    # rows for importances: one stacked root each, presorted once; per-count
-    # fits reuse column slices
     roots = [tr for tr, _ in fold_list] + [np.arange(ds.n_samples)]
     sizes = [len(rows) for rows in roots]
-    sorts = [np.argsort(X[rows], axis=0, kind="stable") for rows in roots]
     stacked = np.concatenate(roots)
     X_all, y_all = X[stacked], y[stacked]
-    sort_all = np.concatenate(sorts).astype(np.int32)
-    xs_all = np.concatenate(
-        [np.take_along_axis(X[rows], s, axis=0) for rows, s in zip(roots, sorts)]
-    )
+    presort = _presort(X_all, sizes)
     held_out = [(X[va], y[va]) for _, va in fold_list]
 
-    active = list(range(ds.n_features))
-    elimination_order: list[int] = []
-    cv_mse_by_count: dict[int, float] = {}
-
+    actives = [list(range(ds.n_features)) for _ in configs]
+    orders: list[list[int]] = [[] for _ in configs]
+    mses: list[dict[int, float]] = [{} for _ in configs]
+    count = ds.n_features
     while True:
-        count = len(active)
         # the last count is not ranked, so it needs no importance fit
         n_roots = folds if count == 1 else folds + 1
         m = sum(sizes[:n_roots])
-        try:
-            models = _fit_core(
-                X_all[:m, active], y_all[:m], cfg.n_estimators, cfg.learning_rate,
-                cfg.max_depth, cfg.reg_lambda, sort_all[:m, active], xs_all[:m, active],
-                sizes[:n_roots],
-            )
-        except Exception as exc:
-            raise RuntimeError(
-                f"estimator failed at feature count {count}: {exc}"
-            ) from exc
-        fold_mses = [
-            float(np.mean((gbt_predict(model, Xva[:, active]) - yva) ** 2))
-            for model, (Xva, yva) in zip(models, held_out)
-        ]
-        cv_mse_by_count[count] = float(np.mean(fold_mses))
-        log.debug(
-            "count=%d cv_mse=%.6g config=%s", count, cv_mse_by_count[count], cfg
-        )
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, active in enumerate(actives):
+            groups.setdefault(tuple(active), []).append(i)
+        for cols, members in groups.items():
+            cols = list(cols)
+            trees = [configs[i].n_estimators for i in members]
+            try:
+                snapshots = _fit_core(
+                    X_all[:m, cols], y_all[:m], max(trees), lr, depth, lam,
+                    tuple(a[cols, :m] for a in presort), sizes[:n_roots], trees,
+                )
+            except Exception as exc:
+                raise RuntimeError(
+                    f"estimator failed at feature count {count}: {exc}"
+                ) from exc
+            held = [(Xva[:, cols], yva) for Xva, yva in held_out]
+            for i, models in zip(members, snapshots):
+                fold_mses = [
+                    float(np.mean((gbt_predict(model, Xva) - yva) ** 2))
+                    for model, (Xva, yva) in zip(models, held)
+                ]
+                mses[i][count] = float(np.mean(fold_mses))
+                log.debug(
+                    "count=%d cv_mse=%.6g config=%s", count, mses[i][count], configs[i]
+                )
+                if count == 1:
+                    continue
+                imp = gbt_importance(models[folds])
+                drop_local = np.argsort(imp, kind="stable")[: min(step, count - 1)]
+                for li in sorted(drop_local.tolist()):
+                    orders[i].append(actives[i][li])
+                for li in sorted(drop_local.tolist(), reverse=True):
+                    del actives[i][li]
         if count == 1:
             break
-        imp = gbt_importance(models[folds])
-        k = min(step, count - 1)
-        drop_local = np.argsort(imp, kind="stable")[:k]
-        for li in sorted(drop_local.tolist()):
-            elimination_order.append(active[li])
-        for li in sorted(drop_local.tolist(), reverse=True):
-            del active[li]
+        count = len(actives[0])
 
-    best_count = min(cv_mse_by_count, key=lambda c: (cv_mse_by_count[c], c))
-    eliminated = set(elimination_order[: ds.n_features - best_count])
-    selected = [
-        ds.feature_names[i] for i in range(ds.n_features) if i not in eliminated
-    ]
-    return RfecvResult(
-        elimination_order=elimination_order,
-        cv_mse_by_count=cv_mse_by_count,
-        best_count=best_count,
-        selected_features=selected,
-        estimator_config=cfg,
-    )
+    results = []
+    for cfg, order, by_count in zip(configs, orders, mses):
+        best_count = min(by_count, key=lambda c: (by_count[c], c))
+        eliminated = set(order[: ds.n_features - best_count])
+        selected = [
+            ds.feature_names[i] for i in range(ds.n_features) if i not in eliminated
+        ]
+        results.append(RfecvResult(
+            elimination_order=order,
+            cv_mse_by_count=by_count,
+            best_count=best_count,
+            selected_features=selected,
+            estimator_config=cfg,
+        ))
+    return results
 
 
 def expand_grid(
@@ -181,11 +209,6 @@ def expand_grid(
     ]
 
 
-def _run_config(args: tuple) -> RfecvResult:
-    ds, cfg, step, folds, seed = args
-    return rfecv_run(ds, cfg, step=step, folds=folds, seed=seed)
-
-
 def rfecv_grid(
     ds: Dataset,
     lr_grid=DEFAULT_LR_GRID,
@@ -197,11 +220,14 @@ def rfecv_grid(
     seed: int = 0,
     workers: int = 1,
 ) -> list[RfecvResult]:
-    """Run rfecv_run for every grid combination and keep the top_k feature sets.
+    """Run RFECV for every grid combination and keep the top_k feature sets.
 
-    Results are ordered by ascending best-count CV MSE (grid order breaks
-    ties); duplicate selected sets keep only their lowest-MSE config. top_k
-    larger than the number of distinct sets returns everything.
+    Each config's result equals its own rfecv_run bitwise; configs sharing
+    (learning_rate, max_depth, reg_lambda) run as one job, so `workers`
+    parallelises over those groups, not single configs. Results are ordered
+    by ascending best-count CV MSE (grid order breaks ties); duplicate
+    selected sets keep only their lowest-MSE config. top_k larger than the
+    number of distinct sets returns everything.
     """
     if top_k < 1:
         raise ValueError("top_k must be positive")
@@ -209,14 +235,24 @@ def rfecv_grid(
     if not configs:
         raise ValueError("estimator grid is empty")
 
-    args = [(ds, cfg, step, folds, seed) for cfg in configs]
+    # one job per (learning_rate, max_depth, reg_lambda): its configs share
+    # tree prefixes while their active sets agree
+    jobs: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        jobs.setdefault((cfg.learning_rate, cfg.max_depth, cfg.reg_lambda), []).append(i)
+    job_configs = [[configs[i] for i in idx] for idx in jobs.values()]
+    run = partial(_rfecv_group, ds, step=step, folds=folds)
     if workers <= 1:
-        results = [_run_config(a) for a in args]
+        outs = [run(group) for group in job_configs]
     else:
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=get_context("spawn")
         ) as pool:
-            results = list(pool.map(_run_config, args))
+            outs = list(pool.map(run, job_configs))
+    results: list[RfecvResult] = [None] * len(configs)  # type: ignore[list-item]
+    for idx, out in zip(jobs.values(), outs):
+        for i, r in zip(idx, out):
+            results[i] = r
 
     order = sorted(range(len(results)), key=lambda i: (results[i].best_mse, i))
     seen: set[tuple[str, ...]] = set()

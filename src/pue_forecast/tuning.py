@@ -231,8 +231,17 @@ class Checkpoint:
             config = TrainConfig(**doc["config"])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: field 'config': {exc}") from None
-        shapes = [(n, tuple(s)) for n, s in doc["shapes"]]
-        payload = base64.b64decode(doc["params_b64"])
+        names = doc["feature_names"]
+        if norm is not None and names is not None and norm["feature_names"] != names:
+            raise ValueError(
+                f"{path}: field 'normalization.feature_names' {norm['feature_names']!r} "
+                f"differs from field 'feature_names' {names!r}"
+            )
+        shapes = _parse_shapes(path, doc["shapes"])
+        try:
+            payload = base64.b64decode(doc["params_b64"], validate=True)
+        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            raise ValueError(f"{path}: field 'params_b64' is not base64: {exc}") from None
         expected = sum(int(np.prod(s)) for _, s in shapes)
         if len(payload) != 8 * expected:
             raise ValueError(
@@ -250,7 +259,7 @@ class Checkpoint:
             best_epoch=doc["best_epoch"],
             best_loss=doc["best_loss"],
             metrics=doc["metrics"],
-            feature_names=doc["feature_names"],
+            feature_names=names,
             normalization=None
             if norm is None
             else NormalizationParams(
@@ -269,6 +278,24 @@ def _require_fields(
     missing = [n for n in names if n not in doc]
     if missing:
         raise ValueError(f"{path}: checkpoint field {prefix}{missing[0]!r} is missing")
+
+
+def _parse_shapes(path: str | Path, raw) -> list[tuple[str, tuple[int, ...]]]:
+    """The `shapes` manifest: a list of [name, [dim, ...]] entries."""
+    if not isinstance(raw, list):
+        raise ValueError(f"{path}: field 'shapes' must be a list, got {raw!r}")
+    out = []
+    for i, entry in enumerate(raw):
+        if not (
+            isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list)
+            and all(type(d) is int and d >= 0 for d in entry[1])
+        ):
+            raise ValueError(
+                f"{path}: field 'shapes' entry {i} is {entry!r}; expected [name, [dims]]"
+            )
+        out.append((entry[0], tuple(entry[1])))
+    return out
 
 
 def _flat_params(model: Model) -> np.ndarray:
@@ -318,7 +345,8 @@ def train(
     for epoch in range(1, cfg.max_epochs + 1):
         pred, cache = forward_batch(model, X, exact=False)
         err = pred - y
-        loss = float(np.mean(err * err))
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
+            loss = float(np.mean(err * err))
         if not np.isfinite(loss):
             raise TrainingDiverged(epoch, last_finite)
         last_finite = loss

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,17 @@ class TestLoadCsv:
         text = CSV_3ROWS.replace("00:20:00", "00:10:00")
         with pytest.raises(CsvFormatError, match="row 3"):
             load_csv(_write(tmp_path, text))
+
+    def test_mixed_naive_and_aware_timestamps(self, tmp_path):
+        for second in ("2024-01-01T00:10:00+00:00", "2024-01-01T00:10:00Z"):
+            text = CSV_3ROWS.replace("2024-01-01T00:10:00", second)
+            path = _write(tmp_path, text)
+            where = re.escape(f"{path}: row 2, column 'timestamp'")
+            with pytest.raises(CsvFormatError, match=where + ".*offset-aware"):
+                load_csv(path)
+        aware_first = CSV_3ROWS.replace("2024-01-01T00:00:00", "2024-01-01T00:00:00+01:00")
+        with pytest.raises(CsvFormatError, match=r"row 2, column 'timestamp'"):
+            load_csv(_write(tmp_path, aware_first))
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(CsvFormatError, match="empty"):

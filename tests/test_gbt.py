@@ -8,6 +8,7 @@ from pue_forecast.gbt import (
     GbtModel,
     Tree,
     _fit_core,
+    _presort,
     _TreeBuilder,
     gbt_fit,
     gbt_importance,
@@ -214,6 +215,24 @@ def _same_tree(a, b):
     )
 
 
+def _assert_same_model(model, ref):
+    assert model.base_score == ref.base_score
+    assert len(model.trees) == len(ref.trees)
+    assert all(_same_tree(t, u) for t, u in zip(model.trees, ref.trees))
+    assert np.array_equal(gbt_importance(model), gbt_importance(ref))
+    assert model.total_gain == ref.total_gain
+    assert model.train_losses == ref.train_losses
+
+
+def _random_xy(rng, sizes, n_features, levels):
+    n = sum(sizes)
+    if levels:
+        X = rng.integers(0, levels, size=(n, n_features)).astype(np.float64)
+    else:
+        X = rng.normal(size=(n, n_features))
+    return X, rng.normal(size=n)
+
+
 class TestMultiRoot:
     """Fits grown as roots of one stacked build equal fitting each alone, bitwise."""
 
@@ -230,20 +249,33 @@ class TestMultiRoot:
     def test_roots_match_separate_fits(self, sizes, n_features, levels, max_depth,
                                        n_estimators, reg_lambda, seed):
         rng = np.random.default_rng(seed)
-        n = sum(sizes)
-        if levels:
-            X = rng.integers(0, levels, size=(n, n_features)).astype(np.float64)
-        else:
-            X = rng.normal(size=(n, n_features))
-        y = rng.normal(size=n)
+        X, y = _random_xy(rng, sizes, n_features, levels)
         sort_idx, x_sorted, bounds = _stacked_presort(X, sizes)
 
+        # the presort against per-block argsorts: stacked row ids in value
+        # order, equal dense ranks exactly at equal adjacent values, each
+        # row's rank; its feature rows and leading blocks are the presort of
+        # that column subset and those blocks
+        presort = _presort(X, sizes)
+        sort_rows, dense, rank = presort
+        shift = np.repeat(bounds[:-1], sizes)[:, None]
+        assert np.array_equal(sort_rows, (sort_idx + shift).T)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            assert np.array_equal(np.diff(dense[:, a:b], axis=1) == 0,
+                                  np.diff(x_sorted[a:b].T, axis=1) == 0)
+        assert np.array_equal(np.take_along_axis(rank, sort_rows, axis=1), dense)
+        cols = np.flatnonzero(rng.random(n_features) < 0.5).tolist() or [n_features - 1]
+        lead = int(rng.integers(1, len(sizes) + 1))
+        m = int(bounds[lead])
+        sub = _presort(X[:m, cols], sizes[:lead])
+        assert all(np.array_equal(p[cols, :m], q) for p, q in zip(presort, sub))
+
         # one build: trees, per-row leaves and gains of every root
-        stacked = _TreeBuilder(X, sizes, sort_idx, x_sorted, max_depth, reg_lambda)
+        stacked = _TreeBuilder(X, sizes, presort, max_depth, reg_lambda)
         trees, leaf, gain_total, gain_by_feature = stacked.build(y)
         for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            s_k, xs_k, _ = _stacked_presort(X[a:b], [b - a])
-            alone = _TreeBuilder(X[a:b], [b - a], s_k, xs_k, max_depth, reg_lambda)
+            alone = _TreeBuilder(X[a:b], [b - a], _presort(X[a:b], [b - a]),
+                                 max_depth, reg_lambda)
             (tree,), leaf_k, total_k, by_feature_k = alone.build(y[a:b])
             assert _same_tree(trees[k], tree)
             assert np.array_equal(leaf[a:b], leaf_k)
@@ -251,16 +283,37 @@ class TestMultiRoot:
             assert np.array_equal(gain_by_feature[k], by_feature_k[0])
 
         # whole boosting loops against the public single-fit entry point
-        models = _fit_core(X, y, n_estimators, 0.3, max_depth, reg_lambda,
-                           sort_idx, x_sorted, sizes)
+        (models,) = _fit_core(X, y, n_estimators, 0.3, max_depth, reg_lambda,
+                              presort, sizes)
         assert len(models) == len(sizes)
         for model, a, b in zip(models, bounds[:-1], bounds[1:]):
             ref = gbt_fit(X[a:b], y[a:b], n_estimators, 0.3, max_depth,
                           reg_lambda=reg_lambda)
-            assert model.base_score == ref.base_score
-            assert len(model.trees) == len(ref.trees)
-            assert all(_same_tree(t, u) for t, u in zip(model.trees, ref.trees))
+            _assert_same_model(model, ref)
             assert all(t.depth() <= max_depth for t in model.trees)
-            assert np.array_equal(gbt_importance(model), gbt_importance(ref))
-            assert model.total_gain == ref.total_gain
-            assert model.train_losses == ref.train_losses
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        sizes=st.lists(st.integers(2, 60), min_size=1, max_size=4),
+        n_features=st.integers(1, 3),
+        levels=st.sampled_from([0, 2, 3]),
+        max_depth=st.integers(1, 4),
+        snapshots=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        reg_lambda=st.sampled_from([0.0, 1.0, 2.5]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_snapshots_match_shorter_fits(self, sizes, n_features, levels, max_depth,
+                                          snapshots, reg_lambda, seed):
+        # unsorted and duplicated tree counts: one model list per count, each
+        # model a separate fit of its block with that many trees
+        X, y = _random_xy(np.random.default_rng(seed), sizes, n_features, levels)
+        out = _fit_core(X, y, max(snapshots), 0.3, max_depth, reg_lambda,
+                        _presort(X, sizes), sizes, snapshots)
+        assert len(out) == len(snapshots)
+        bounds = np.cumsum([0] + sizes)
+        for n_trees, models in zip(snapshots, out):
+            assert len(models) == len(sizes)
+            for model, a, b in zip(models, bounds[:-1], bounds[1:]):
+                ref = gbt_fit(X[a:b], y[a:b], n_trees, 0.3, max_depth,
+                              reg_lambda=reg_lambda)
+                _assert_same_model(model, ref)

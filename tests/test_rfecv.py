@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pue_forecast.dataset import Dataset, generate_synthetic
 from pue_forecast.gbt import gbt_fit, gbt_importance, gbt_predict
@@ -34,6 +36,11 @@ def toy_dataset(n=60, seed=0):
         np.column_stack([f0, f1]),
         3.0 * f0,
     )
+
+
+def _bitwise_key(r):
+    return (r.estimator_config, r.elimination_order,
+            {k: repr(v) for k, v in r.cv_mse_by_count.items()}, r.selected_features)
 
 
 class TestFolds:
@@ -201,16 +208,37 @@ class TestGrid:
 
     def test_workers_deterministic(self):
         ds = generate_synthetic(50, 4, 1, seed=6)
-        kwargs = dict(lr_grid=(0.3, 0.1), n_estimators_grid=(10,),
+        kwargs = dict(lr_grid=(0.3, 0.1), n_estimators_grid=(10, 3, 10),
                       max_depth_grid=(2,), top_k=10, folds=4)
         serial = rfecv_grid(ds, workers=1, **kwargs)
         parallel = rfecv_grid(ds, workers=2, **kwargs)
-        assert [r.selected_features for r in serial] == [
-            r.selected_features for r in parallel
-        ]
-        assert [r.cv_mse_by_count for r in serial] == [
-            r.cv_mse_by_count for r in parallel
-        ]
+        assert [_bitwise_key(r) for r in serial] == [_bitwise_key(r) for r in parallel]
+
+    @settings(deadline=None, max_examples=15)
+    @given(
+        trees=st.lists(st.integers(1, 12), min_size=1, max_size=4),  # unsorted, repeats
+        lrs=st.lists(st.sampled_from([0.5, 0.3, 0.1]), min_size=1, max_size=2, unique=True),
+        depths=st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True),
+        step=st.integers(1, 3),
+        folds=st.integers(2, 4),
+        n_noise=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_shared_prefixes_equal_per_config_runs(self, trees, lrs, depths, step, folds,
+                                                   n_noise, seed):
+        # the grid grows each (lr, depth, active set) once for all tree counts;
+        # its ranking and deduplication of the per-config runs must come out
+        ds = generate_synthetic(48, 3, n_noise, seed=seed)
+        results = rfecv_grid(ds, lr_grid=lrs, n_estimators_grid=trees, max_depth_grid=depths,
+                             top_k=10**6, step=step, folds=folds)
+        singles = [rfecv_run(ds, cfg, step=step, folds=folds)
+                   for cfg in expand_grid(lrs, trees, depths)]
+        expected, seen = [], set()
+        for i in sorted(range(len(singles)), key=lambda i: (singles[i].best_mse, i)):
+            if tuple(singles[i].selected_features) not in seen:
+                seen.add(tuple(singles[i].selected_features))
+                expected.append(singles[i])
+        assert [_bitwise_key(r) for r in results] == [_bitwise_key(r) for r in expected]
 
 
 class TestExports:

@@ -1,3 +1,7 @@
+import json
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -194,6 +198,34 @@ class TestCheckpointPersistence:
         with pytest.raises(ValueError, match="version"):
             Checkpoint.load(path)
 
+    def test_malformed_fields_name_file_and_field(self, tmp_path):
+        ws_tr, ws_te, norm, ds = make_windowed()
+        cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.02,
+                          max_epochs=10, eval_every=10, mode="gru", seed=0, window=4)
+        ckpt, _ = train(ws_tr, ws_te, cfg, feature_names=list(ds.feature_names),
+                        normalization=norm)
+        good = tmp_path / "good.json"
+        ckpt.save(good)
+        doc = json.loads(good.read_text())
+        b64 = doc["params_b64"]
+        cases = {
+            "shapes": [dict(doc, shapes=bad) for bad in (
+                [["W_x"]], "W_x", [[0, [2]]], [["W_x", [2, -1]]], [["W_x", 2]])],
+            # without validation the non-alphabet characters are dropped and
+            # the rest decodes to a payload of the right size
+            "params_b64": [dict(doc, params_b64=b64[:8] + "!!!!" + b64[8:]),
+                           dict(doc, params_b64=b64[:-4] + "=" + b64[-3:]),
+                           dict(doc, params_b64=7)],
+            "normalization.feature_names": [dict(doc, normalization=dict(
+                doc["normalization"], feature_names=doc["feature_names"][::-1]))],
+        }
+        for field, docs in cases.items():
+            for i, bad in enumerate(docs):
+                path = tmp_path / f"bad_{i}.json"
+                path.write_text(json.dumps(bad))
+                with pytest.raises(ValueError, match=re.escape(f"{path}: field '{field}'")):
+                    Checkpoint.load(path)
+
 
 class TestGridSearch:
     def test_degenerate_grid_equals_single_train(self):
@@ -285,6 +317,19 @@ class TestGridSearch:
         job = _Job(0, 0, "set00_n2", ["a", "b"], bad_tr, ws_te, cfg, norm, 1.0, False)
         si, ci, rec, ckpt = _run_job(job)
         assert rec.failed and ckpt is None
+        assert "non-finite" in rec.error
+
+    def test_divergence_emits_no_warning(self):
+        # a step of 1e300 overflows the next forward pass: the run is recorded
+        # as diverged and numpy's overflow in the loss stays silent
+        ds = generate_synthetic(80, 3, 0, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = grid_search(ds, [list(ds.feature_names)], mode="gru",
+                                 layers_grid=(1,), hidden_grid=(2,), lr_grid=(1e300,),
+                                 window_length=4, max_epochs=5, eval_every=5)
+        (rec,) = report.records
+        assert rec.failed
         assert "non-finite" in rec.error
 
     def test_csv_shape(self, tmp_path):
