@@ -11,6 +11,7 @@ ties break toward the lowest feature index, then the lowest threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -404,8 +405,8 @@ def gbt_fit(
         raise ValueError("X and y must be finite")
     if n_estimators < 1:
         raise ValueError("n_estimators must be positive")
-    if learning_rate <= 0:
-        raise ValueError("learning_rate must be positive")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and positive, got {learning_rate!r}")
     if max_depth < 1:
         raise ValueError("max_depth must be positive")
     if reg_lambda < 0:
@@ -476,23 +477,39 @@ def _fit_core(
     return [taken[t] for t in snapshots]
 
 
-def gbt_predict(m: GbtModel, X: np.ndarray) -> np.ndarray:
-    """Evaluate the ensemble on the rows of X."""
+def gbt_predict(m: GbtModel, X: np.ndarray, counts=None) -> np.ndarray:
+    """Evaluate the ensemble on the rows of X.
+
+    With `counts`, returns [len(counts), n_rows]: row j is the prediction of
+    the first counts[j] trees, bitwise equal to predicting with that prefix
+    alone, while every tree is routed once. Each row's per-tree steps are
+    added in tree order either way.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != m.n_features:
         raise ValueError(
             f"expected a 2-D matrix with {m.n_features} columns, got shape {X.shape}"
         )
-    out = np.full(X.shape[0], m.base_score)
-    if not m.trees:
-        return out
-    # all trees walk a block of rows together; the block bounds the
-    # [n_trees, rows] routing arrays
-    block = max(1, _ROUTE_CELLS // len(m.trees))
-    for lo in range(0, X.shape[0], block):
-        for v in _leaf_values(m.trees, X[lo : lo + block]):
-            out[lo : lo + block] += m.learning_rate * v
-    return out
+    staged = (len(m.trees),) if counts is None else tuple(counts)
+    if not all(0 <= t <= len(m.trees) for t in staged):
+        raise ValueError(f"tree counts must lie in 0..{len(m.trees)}, got {staged}")
+    rows_at: dict[int, list[int]] = {}
+    for j, t in enumerate(staged):
+        rows_at.setdefault(t, []).append(j)
+    out = np.full((len(staged), X.shape[0]), m.base_score)
+    running = np.full(X.shape[0], m.base_score)
+    trees = m.trees[: max(staged, default=0)]
+    if trees:
+        # all trees walk a block of rows together; the block bounds the
+        # [n_trees, rows] routing arrays
+        block = max(1, _ROUTE_CELLS // len(trees))
+        for lo in range(0, X.shape[0], block):
+            hi = lo + block
+            for t, v in enumerate(_leaf_values(trees, X[lo:hi]), 1):
+                running[lo:hi] += m.learning_rate * v
+                if t in rows_at:
+                    out[rows_at[t], lo:hi] = running[lo:hi]
+    return out[0] if counts is None else out
 
 
 def _leaf_values(trees: list[Tree], X: np.ndarray) -> np.ndarray:

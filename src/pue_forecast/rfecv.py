@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -49,8 +50,10 @@ class GbtConfig:
     reg_lambda: float = 1.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate!r}"
+            )
         if self.n_estimators < 1 or self.max_depth < 1:
             raise ValueError("n_estimators and max_depth must be positive")
 
@@ -114,8 +117,9 @@ def _rfecv_group(
     All configs visit the same feature counts. At each count, the configs
     whose surviving features agree form one group, and one `_fit_core` call
     grows the group's largest tree count, snapshotting every member's count;
-    each config then scores and eliminates on its own. The folds' training
-    rows and (above one feature) all rows are one stacked root each,
+    the largest snapshot's trees are routed once per fold to score every
+    member's count, and each config then eliminates on its own. The folds'
+    training rows and (above one feature) all rows are one stacked root each,
     presorted once; every call takes column slices of it.
     """
     if ds.n_features < 2:
@@ -156,11 +160,14 @@ def _rfecv_group(
                 raise RuntimeError(
                     f"estimator failed at feature count {count}: {exc}"
                 ) from exc
-            held = [(Xva[:, cols], yva) for Xva, yva in held_out]
-            for i, models in zip(members, snapshots):
+            largest = snapshots[trees.index(max(trees))]
+            fold_preds = [
+                (gbt_predict(model, Xva[:, cols], trees), yva)
+                for model, (Xva, yva) in zip(largest, held_out)
+            ]
+            for j, (i, models) in enumerate(zip(members, snapshots)):
                 fold_mses = [
-                    float(np.mean((gbt_predict(model, Xva) - yva) ** 2))
-                    for model, (Xva, yva) in zip(models, held)
+                    float(np.mean((preds[j] - yva) ** 2)) for preds, yva in fold_preds
                 ]
                 mses[i][count] = float(np.mean(fold_mses))
                 log.debug(

@@ -12,6 +12,17 @@ the window and SUMS the two per-step hidden states (elementwise, not
 concatenation). Stacked layers consume the previous layer's full output
 sequence; the readout is an affine map of the final layer's last-step state.
 
+The two directions of a layer share nothing until that sum, so the right-to-left
+scan (and its backward pass) runs on a second thread while the caller's thread
+runs the left-to-right one; numpy releases the GIL inside its ufunc loops and
+BLAS calls, so they overlap. Each direction reads only the shared input and
+writes only its own buffers, and the results are summed in a fixed order after
+the join, so every output is bitwise equal to running them one after the other.
+The thread lives for one call: nothing outlives it, and an error in the reverse
+direction reaches the caller. Small batches run both directions on the caller's
+thread, where handing the GIL back and forth between small numpy calls costs
+more than the overlap saves.
+
 One scan serves every entry point; a cell step is a one-step scan. It carries
 sequences time-major ([W, B, features]) and caches r, z, cand gate-major
 ([3, W, B, H]), so each step works in place on contiguous [B, H] blocks and each
@@ -29,12 +40,22 @@ the batch) backs the training loop, where only run-to-run determinism matters.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
 MatMul = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+T = TypeVar("T")
+
+# Fewest elements in one step's [B, H] block for which the reverse direction
+# runs on a second thread. Below it, handing the GIL between the threads at
+# every small numpy call costs more than the overlap saves: on 2 cores with one
+# BLAS thread (H 4-50, one layer, training forward plus backward) the threaded
+# layer took 1.3-4.9x the serial time at B*H <= 4096, and the crossover lay
+# between B*H = 8192 and 32768, moving with the machine's load.
+_THREAD_MIN_BLOCK = 1 << 14
 
 
 def _matmul_exact(a: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -326,11 +347,30 @@ def _gru_scan_backward(
     return GruParams(*d_W, d_W_h, *d_U, *da.sum(axis=1)), d_seq.reshape(W, B, -1)
 
 
+def _both_directions(
+    forward: Callable[[], T], reverse: Callable[[], T], block: int
+) -> tuple[T, T]:
+    """(forward(), reverse()); reverse() runs on a second thread meanwhile when
+    `block`, the element count of one step's [B, H] block, is at least
+    _THREAD_MIN_BLOCK, and after forward() on this thread otherwise.
+
+    The thread is joined before this returns, also when either side raises;
+    an exception from reverse() is re-raised here."""
+    if block < _THREAD_MIN_BLOCK:
+        return forward(), reverse()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        rev = pool.submit(reverse)
+        return forward(), rev.result()
+
+
 def _bigru_layer_forward(
     layer: BiGruLayer, seq: np.ndarray, mm: MatMul
 ) -> tuple[np.ndarray, LayerCache]:
-    out_f, cache_f = _gru_scan(layer.forward, seq, mm)
-    out_b, cache_b = _gru_scan(layer.backward, seq, mm, reverse=True)
+    (out_f, cache_f), (out_b, cache_b) = _both_directions(
+        lambda: _gru_scan(layer.forward, seq, mm),
+        lambda: _gru_scan(layer.backward, seq, mm, reverse=True),
+        seq.shape[1] * layer.hidden_dim,
+    )
     return out_f + out_b, LayerCache(fwd=cache_f, bwd=cache_b)
 
 
@@ -406,8 +446,11 @@ def backward_batch(
     d_seq[-1] = d_pred[:, None] * model.w_o[None, :]
     for layer, lcache in zip(reversed(model.layers), reversed(cache.layers)):
         if model.mode == "bigru":
-            g_f, d_seq_f = _gru_scan_backward(layer.forward, lcache.fwd, d_seq, np.matmul)
-            g_b, d_seq_b = _gru_scan_backward(layer.backward, lcache.bwd, d_seq, np.matmul)
+            (g_f, d_seq_f), (g_b, d_seq_b) = _both_directions(
+                lambda: _gru_scan_backward(layer.forward, lcache.fwd, d_seq, np.matmul),
+                lambda: _gru_scan_backward(layer.backward, lcache.bwd, d_seq, np.matmul),
+                d_seq.shape[1] * layer.hidden_dim,
+            )
             grad_layers.append(BiGruLayer(forward=g_f, backward=g_b))
             d_seq = d_seq_f
             d_seq += d_seq_b

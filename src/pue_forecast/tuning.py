@@ -11,8 +11,9 @@ from __future__ import annotations
 import base64
 import json
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -79,8 +80,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.layers < 1 or self.hidden_dim < 1 or self.window < 1:
             raise ValueError("layers, hidden_dim and window must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(
+                f"learning_rate must be finite and non-negative, got {self.learning_rate!r}"
+            )
         if self.max_epochs < 1 or self.eval_every < 1:
             raise ValueError("max_epochs and eval_every must be positive")
         if self.eval_every > self.max_epochs:
@@ -180,21 +183,7 @@ class Checkpoint:
         payload = np.ascontiguousarray(self.params, dtype="<f8").tobytes()
         doc = {
             "format_version": self.format_version,
-            "config": {
-                "layers": self.config.layers,
-                "hidden_dim": self.config.hidden_dim,
-                "learning_rate": self.config.learning_rate,
-                "max_epochs": self.config.max_epochs,
-                "eval_every": self.config.eval_every,
-                "mode": self.config.mode,
-                "seed": self.config.seed,
-                "window": self.config.window,
-                "beta1": self.config.beta1,
-                "beta2": self.config.beta2,
-                "eps": self.config.eps,
-                "grad_clip": self.config.grad_clip,
-                "checkpoint_on_train_loss": self.config.checkpoint_on_train_loss,
-            },
+            "config": asdict(self.config),
             "n_features": self.n_features,
             "shapes": [[n, list(s)] for n, s in self.shapes],
             "params_b64": base64.b64encode(payload).decode("ascii"),
@@ -365,6 +354,9 @@ def train(
                 params, garrs, (m1, m2), t=epoch, lr=cfg.learning_rate,
                 beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
             )
+        # held into the next epoch's forward, this cache would coexist with
+        # that one's and set the peak memory
+        del cache
 
         if cfg.checkpoint_on_train_loss and loss < best_loss:
             best_loss = loss

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from pue_forecast import rnn
 from pue_forecast.rnn import GruParams, forward_batch, model_backward, model_forward
 
 
@@ -52,6 +53,40 @@ def random_config_check(seed, max_features=4, max_hidden=4, max_layers=2,
     model = init_params(f, h, layers, mode, seed=seed)
     X = rng.standard_normal((w, f))
     return finite_diff_worst_rel_err(model, X, eps=eps)
+
+
+# ------------------------------------------------------- serial BiGRU scans
+
+def serial_bigru(model, X, d_pred, exact):
+    """forward_batch predictions and backward_batch gradient arrays of a bigru
+    model, with the two directions of every layer scanned one after the other
+    on the calling thread through the library's scan kernels."""
+    mm = rnn._matmul_exact if exact else np.matmul
+    seq = np.ascontiguousarray(X.transpose(1, 0, 2))
+    caches = []
+    for layer in model.layers:
+        out_f, cache_f = rnn._gru_scan(layer.forward, seq, mm)
+        out_b, cache_b = rnn._gru_scan(layer.backward, seq, mm, reverse=True)
+        caches.append((cache_f, cache_b))
+        seq = out_f + out_b
+    last = seq[-1]
+    if exact:
+        pred = np.full(X.shape[0], model.b_o[0])
+        for j in range(last.shape[1]):
+            pred += last[:, j] * model.w_o[j]
+    else:
+        pred = last @ model.w_o + model.b_o[0]
+
+    d_seq = np.zeros_like(seq)
+    d_seq[-1] = d_pred[:, None] * model.w_o[None, :]
+    grads = []
+    for layer, (cache_f, cache_b) in zip(reversed(model.layers), reversed(caches)):
+        g_f, d_seq_f = rnn._gru_scan_backward(layer.forward, cache_f, d_seq, np.matmul)
+        g_b, d_seq_b = rnn._gru_scan_backward(layer.backward, cache_b, d_seq, np.matmul)
+        grads = [a for _, a in g_f.param_items() + g_b.param_items()] + grads
+        d_seq = d_seq_f + d_seq_b
+    grads += [last.T @ d_pred, np.array([d_pred.sum()])]
+    return pred, grads
 
 
 # ------------------------------------------------------------- GRU hand math

@@ -135,7 +135,7 @@ def test_criterion_3_end_to_end_learning(tmp_path):
         3, "end-to-end learning",
         r2 >= 0.90 and ratio >= 10.0 and elapsed < 600.0,
         f"held-out r2 {r2:.4f}, baseline/model mse ratio {ratio:.1f}x, "
-        f"wall {elapsed:.0f}s single-threaded",
+        f"wall {elapsed:.0f}s, one BLAS thread",
     )
 
 

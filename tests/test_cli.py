@@ -84,6 +84,14 @@ class TestSelectFeatures:
         doc = json.loads((outdir / "feature_sets.json").read_text())
         assert 1 <= len(doc) <= 2
 
+    def test_non_finite_learning_rate_is_an_error(self, small_csv, tmp_path, capsys):
+        outdir = tmp_path / "sel"
+        code = run_cli("select-features", "-i", str(small_csv), "-o", str(outdir),
+                       "--lr", "nan", "--trees", "3", "--depth", "2", "--folds", "3")
+        assert code == 1
+        assert "learning_rate" in capsys.readouterr().err
+        assert not (outdir / "feature_sets.json").exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = run_cli("select-features", "-i", str(tmp_path / "absent.csv"),
                        "-o", str(tmp_path / "out"))

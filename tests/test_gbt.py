@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import best_stump, replay_residuals, walk_predict
+from pue_forecast import gbt
 from pue_forecast.gbt import (
     GbtModel,
     Tree,
@@ -102,8 +105,9 @@ class TestFit:
             gbt_fit(X * np.nan, y, 1, 0.1, 1)
         with pytest.raises(ValueError, match="n_estimators"):
             gbt_fit(X, y, 0, 0.1, 1)
-        with pytest.raises(ValueError, match="learning_rate"):
-            gbt_fit(X, y, 1, 0.0, 1)
+        for lr in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                gbt_fit(X, y, 1, lr, 1)
         with pytest.raises(ValueError, match="max_depth"):
             gbt_fit(X, y, 1, 0.1, 0)
         with pytest.raises(ValueError, match="reg_lambda"):
@@ -136,6 +140,26 @@ class TestPredict:
         m = gbt_fit(X, y, n_estimators=12, learning_rate=0.25, max_depth=4)
         Xt = rng.normal(size=(100, 4))
         assert np.max(np.abs(gbt_predict(m, Xt) - walk_predict(m, Xt))) < 1e-12
+
+    @pytest.mark.parametrize("route_cells", [gbt._ROUTE_CELLS, 16])
+    def test_staged_counts_equal_prefix_models_bitwise(self, monkeypatch, route_cells):
+        """Each staged row equals predicting with that tree prefix alone, also
+        when the rows are routed in several blocks."""
+        monkeypatch.setattr(gbt, "_ROUTE_CELLS", route_cells)
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(70, 4))
+        y = X[:, 0] - 2.0 * X[:, 3] + rng.normal(size=70) * 0.2
+        m = gbt_fit(X, y, n_estimators=12, learning_rate=0.25, max_depth=4)
+        Xt = rng.normal(size=(45, 4))
+        counts = (5, 12, 0, 5, 1)
+        staged = gbt_predict(m, Xt, counts)
+        assert staged.shape == (len(counts), 45)
+        for row, t in zip(staged, counts):
+            assert np.array_equal(row, gbt_predict(replace(m, trees=m.trees[:t]), Xt))
+        assert np.array_equal(gbt_predict(m, Xt, [12])[0], gbt_predict(m, Xt))
+        for bad in ([13], [-1]):
+            with pytest.raises(ValueError, match="tree counts"):
+                gbt_predict(m, Xt, bad)
 
     def test_dimension_mismatch(self):
         m = gbt_fit(np.ones((4, 2)) * np.arange(4)[:, None], np.arange(4.0), 1, 0.1, 1)

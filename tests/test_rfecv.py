@@ -166,6 +166,9 @@ class TestRfecvRun:
             rfecv_run(single, FAST)
         with pytest.raises(ValueError, match="step"):
             rfecv_run(ds, FAST, step=0)
+        for lr in (0.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                GbtConfig(lr, 3, 2)
 
 
 class TestGrid:

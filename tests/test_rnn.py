@@ -1,3 +1,6 @@
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +11,14 @@ from oracles import (
     hand_cell,
     random_config_check,
     scalar_trace,
+    serial_bigru,
 )
+from pue_forecast import rnn
 from pue_forecast.rnn import (
     BiGruLayer,
     GruParams,
     Model,
+    backward_batch,
     bigru_forward,
     forward_batch,
     gru_cell,
@@ -224,6 +230,67 @@ class TestModelForward:
             forward_batch(model, np.zeros((2, 4, 5)))
         with pytest.raises(ValueError, match="matrix"):
             model_forward(model, np.zeros(3))
+
+
+class TestThreadedDirections:
+    @settings(deadline=None, max_examples=30)
+    @given(
+        layers=st.integers(1, 3),
+        hidden=st.integers(1, 64),
+        n_features=st.integers(1, 9),
+        length=st.integers(1, 7),
+        batch=st.integers(1, 300),
+        exact=st.booleans(),
+        min_block=st.sampled_from([0, rnn._THREAD_MIN_BLOCK]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_equals_serial_directions_bitwise(self, layers, hidden, n_features,
+                                              length, batch, exact, min_block, seed):
+        """Predictions and every gradient equal the two directions scanned one
+        after the other on the calling thread, whether the reverse direction
+        ran on a second thread (min_block 0) or not."""
+        model = init_params(n_features, hidden, layers, "bigru", seed=seed)
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((batch, length, n_features))
+        d_pred = rng.standard_normal(batch)
+        want_pred, want_grads = serial_bigru(model, X, d_pred, exact)
+        with mock.patch.object(rnn, "_THREAD_MIN_BLOCK", min_block):
+            pred, cache = forward_batch(model, X, exact=exact)
+            grads = backward_batch(model, cache, d_pred).param_arrays()
+        assert np.array_equal(pred, want_pred)
+        assert len(grads) == len(want_grads)
+        assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+
+    @pytest.mark.parametrize("kernel", ["_gru_scan", "_gru_scan_backward"])
+    def test_reverse_direction_error_reaches_caller(self, monkeypatch, kernel):
+        """The reverse direction runs on another thread, its error reaches the
+        caller, and no thread outlives a failed or a successful call."""
+        monkeypatch.setattr(rnn, "_THREAD_MIN_BLOCK", 0)
+        model = init_params(3, 4, 2, "bigru", seed=7)
+        X = np.random.default_rng(8).standard_normal((5, 4, 3))
+        before = threading.active_count()
+        real = getattr(rnn, kernel)
+        reverse_threads = set()
+        fail = True
+
+        def patched(p, state, *args, **kwargs):
+            reverse = kwargs.get("reverse") if kernel == "_gru_scan" else state.reverse
+            if reverse:
+                reverse_threads.add(threading.get_ident())
+                if fail:
+                    raise FloatingPointError("reverse direction failed")
+            return real(p, state, *args, **kwargs)
+
+        monkeypatch.setattr(rnn, kernel, patched)
+        with pytest.raises(FloatingPointError, match="reverse direction failed"):
+            _, cache = forward_batch(model, X, exact=False)
+            backward_batch(model, cache, np.ones(5))
+        assert threading.active_count() == before
+        fail = False
+        _, cache = forward_batch(model, X, exact=False)
+        backward_batch(model, cache, np.ones(5))
+        assert threading.active_count() == before
+        assert reverse_threads and threading.get_ident() not in reverse_threads
 
 
 class TestModelBackward:

@@ -167,6 +167,11 @@ class TestTrain:
         for clip in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="grad_clip"):
                 TrainConfig(layers=1, hidden_dim=2, learning_rate=0.1, grad_clip=clip)
+        for lr in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(layers=1, hidden_dim=2, learning_rate=lr)
+        for lr in (0.0, 1e300):
+            TrainConfig(layers=1, hidden_dim=2, learning_rate=lr)
 
 
 class TestCheckpointPersistence:
