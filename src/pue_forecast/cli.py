@@ -29,6 +29,7 @@ from .dataset import (
     split_chronological,
     window,
     write_csv,
+    write_rows,
 )
 from .rfecv import (
     DEFAULT_LR_GRID,
@@ -178,15 +179,12 @@ def cmd_tune(args: argparse.Namespace) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     report_path = outdir / "tune_report.csv"
     records_path = outdir / "tune_records.csv"
-    report.to_csv(report_path, winners_only=True)
+    report.to_csv(report_path)
     report.to_records_csv(records_path)
     outputs = [str(report_path), str(records_path)]
-    for si, ckpt in sorted(report.checkpoints.items()):
-        label = next(
-            r.feature_set_label for r in report.records if r.feature_set_index == si
-        )
-        ckpt_path = outdir / f"checkpoint_{label}.json"
-        ckpt.save(ckpt_path)
+    for w in report.winners():
+        ckpt_path = outdir / f"checkpoint_{w.feature_set_label}.json"
+        report.checkpoints[w.feature_set_index].save(ckpt_path)
         outputs.append(str(ckpt_path))
     n_failed = sum(1 for r in report.records if r.failed)
     if n_failed == len(report.records):
@@ -230,10 +228,8 @@ def cmd_predict(args: argparse.Namespace) -> None:
     ws = window(nds, W)
     preds = denormalize_target(ckpt.predict(ws.windows), ckpt.normalization)
     out = Path(args.output)
-    lines = [f"{TIMESTAMP_COLUMN},predicted_{TARGET_COLUMN}"]
-    for i in range(ws.n_windows):
-        lines.append(f"{nds.timestamps[W - 1 + i]},{float(preds[i])!r}")
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = [TIMESTAMP_COLUMN, f"predicted_{TARGET_COLUMN}"]
+    write_rows(out, header, zip(nds.timestamps[W - 1 :], preds.tolist()))
     log.info("wrote %d predictions to %s", ws.n_windows, out)
     _write_manifest(
         Path(str(out) + ".manifest.json"), "predict", args,

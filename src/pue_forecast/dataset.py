@@ -4,11 +4,13 @@ CSV contract: UTF-8, comma separated, one header row. A ``timestamp`` column
 (ISO-8601, strictly increasing) and a ``PUE`` target column are required; every
 other column is a numeric feature. The generator writes ``timestamp`` first and
 ``PUE`` last; the loader matches columns by name, not by position.
+The report CSV writer and the JSON reader the other modules share live here too.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -240,6 +242,38 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
                 + [repr(v) for v in ds.X[i].tolist()]
                 + [repr(float(ds.y[i]))]
             )
+
+
+def write_rows(path: str | Path, header: list[str], rows) -> None:
+    """Write a header and rows as standard CSV with "\n" line ends (None: empty cell)."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_json(path: str | Path):
+    """Parse a JSON file; undecodable content raises ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
+def require_fields(
+    path: str | Path, doc, names: tuple[str, ...], where: str = ""
+) -> None:
+    """Check that `doc` is a JSON object holding every field in `names`.
+
+    A failure raises ValueError naming the file, the location `where` inside
+    it (when given) and the first missing field.
+    """
+    loc = f"{path}: {where}: " if where else f"{path}: "
+    if not isinstance(doc, dict):
+        raise ValueError(f"{loc}expected a JSON object, got {type(doc).__name__}")
+    missing = [n for n in names if n not in doc]
+    if missing:
+        raise ValueError(f"{loc}field {missing[0]!r} is missing")
 
 
 def _ar1(innovations: np.ndarray, rho: float, scale: float) -> np.ndarray:

@@ -33,36 +33,8 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def depth(self) -> int:
-        depths = np.zeros(self.n_nodes, dtype=np.int64)
-        out = 0
-        for i in range(self.n_nodes):
-            if self.feature[i] >= 0:
-                depths[self.left[i]] = depths[i] + 1
-                depths[self.right[i]] = depths[i] + 1
-                out = max(out, int(depths[i]) + 1)
-        return out
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         return _leaf_values([self], X)[0]
-
-    def dump(self, indent: str = "  ") -> str:
-        lines: list[str] = []
-
-        def walk(i: int, level: int) -> None:
-            pad = indent * level
-            if self.feature[i] < 0:
-                lines.append(f"{pad}leaf value={self.value[i]:.6g}")
-            else:
-                lines.append(
-                    f"{pad}if x[{int(self.feature[i])}] < {self.threshold[i]:.6g}:"
-                )
-                walk(int(self.left[i]), level + 1)
-                lines.append(f"{pad}else:")
-                walk(int(self.right[i]), level + 1)
-
-        walk(0, 0)
-        return "\n".join(lines)
 
 
 @dataclass
@@ -81,13 +53,6 @@ class GbtModel:
     def __post_init__(self):
         if self.feature_importance is None:
             self.feature_importance = np.zeros(self.n_features)
-
-    def dump(self) -> str:
-        parts = [f"base_score={self.base_score!r} lr={self.learning_rate!r}"]
-        for k, tree in enumerate(self.trees):
-            parts.append(f"tree {k}:")
-            parts.append(tree.dump())
-        return "\n".join(parts)
 
 
 def _presort(X: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, read_json, require_fields, write_rows
 from .gbt import _fit_core, _presort, gbt_importance, gbt_predict
 
 log = logging.getLogger(__name__)
@@ -300,22 +300,32 @@ def write_results_json(results: list[RfecvResult], path: str | Path) -> None:
 
 
 def load_feature_sets(path: str | Path) -> list[list[str]]:
-    """Read the selected feature-name lists back from a results JSON file."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    sets = [list(entry["selected_features"]) for entry in doc]
-    if not sets:
-        raise ValueError(f"{path}: no feature sets")
+    """Read the selected feature-name lists back from a results JSON file.
+
+    A malformed file raises ValueError naming the file, entry and field.
+    """
+    doc = read_json(path)
+    if not (isinstance(doc, list) and doc):
+        raise ValueError(f"{path}: expected a non-empty JSON list of feature sets")
+    sets = []
+    for i, entry in enumerate(doc):
+        require_fields(path, entry, ("selected_features",), f"entry {i}")
+        names = entry["selected_features"]
+        if not (
+            isinstance(names, list) and names
+            and all(isinstance(n, str) for n in names) and len(set(names)) == len(names)
+        ):
+            raise ValueError(
+                f"{path}: entry {i}: field 'selected_features' must be a non-empty "
+                f"list of distinct feature names, got {names!r}"
+            )
+        sets.append(names)
     return sets
 
 
 def write_mse_curve_csv(results: list[RfecvResult], path: str | Path) -> None:
     """Long-format (config, count, mse) rows for plotting MSE vs feature count."""
-    lines = ["learning_rate,n_estimators,max_depth,count,mse"]
-    for r in results:
-        c = r.estimator_config
-        for count in sorted(r.cv_mse_by_count, reverse=True):
-            lines.append(
-                f"{c.learning_rate!r},{c.n_estimators},{c.max_depth},"
-                f"{count},{r.cv_mse_by_count[count]!r}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [[c.learning_rate, c.n_estimators, c.max_depth, k, r.cv_mse_by_count[k]]
+            for r in results for c in [r.estimator_config]
+            for k in sorted(r.cv_mse_by_count, reverse=True)]
+    write_rows(path, ["learning_rate", "n_estimators", "max_depth", "count", "mse"], rows)

@@ -9,6 +9,7 @@ parameters of the best evaluation seen, never the final epoch's weights.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import logging
 import math
@@ -25,8 +26,11 @@ from .dataset import (
     WindowedSet,
     fit_normalizer,
     normalize,
+    read_json,
+    require_fields,
     split_chronological,
     window,
+    write_rows,
 )
 from .metrics import MetricsReport, evaluate
 from .rnn import Model, backward_batch, forward_batch, init_params, predict_batch
@@ -35,8 +39,8 @@ log = logging.getLogger(__name__)
 
 CHECKPOINT_FORMAT_VERSION = 1
 _CHECKPOINT_FIELDS = (
-    "config", "n_features", "shapes", "params_b64", "best_epoch", "best_loss",
-    "metrics", "feature_names", "normalization",
+    "format_version", "config", "n_features", "shapes", "params_b64", "best_epoch",
+    "best_loss", "metrics", "feature_names", "normalization",
 )
 _NORMALIZATION_FIELDS = (
     "feature_names", "feature_min", "feature_max", "target_min", "target_max",
@@ -207,15 +211,15 @@ class Checkpoint:
     def load(path: str | Path) -> "Checkpoint":
         """Read a checkpoint written by save; a malformed file raises ValueError
         naming the file and the field."""
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        doc = read_json(path)
+        require_fields(path, doc, _CHECKPOINT_FIELDS)
+        if doc["format_version"] != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(
-                f"{path}: unsupported checkpoint format version {doc.get('format_version')!r}"
+                f"{path}: unsupported checkpoint format version {doc['format_version']!r}"
             )
-        _require_fields(path, doc, _CHECKPOINT_FIELDS)
         norm = doc["normalization"]
         if norm is not None:
-            _require_fields(path, norm, _NORMALIZATION_FIELDS, "normalization.")
+            require_fields(path, norm, _NORMALIZATION_FIELDS, "normalization")
         try:
             config = TrainConfig(**doc["config"])
         except (TypeError, ValueError) as exc:
@@ -259,14 +263,6 @@ class Checkpoint:
                 target_max=norm["target_max"],
             ),
         )
-
-
-def _require_fields(
-    path: str | Path, doc: dict, names: tuple[str, ...], prefix: str = ""
-) -> None:
-    missing = [n for n in names if n not in doc]
-    if missing:
-        raise ValueError(f"{path}: checkpoint field {prefix}{missing[0]!r} is missing")
 
 
 def _parse_shapes(path: str | Path, raw) -> list[tuple[str, tuple[int, ...]]]:
@@ -377,19 +373,6 @@ def train(
                 best_metrics = rep
 
     assert best_params is not None  # eval_every <= max_epochs guarantees one eval
-    if best_metrics is None:
-        snapshot = Checkpoint(
-            config=cfg,
-            n_features=n_features,
-            shapes=[(n, a.shape) for n, a in model.param_items()],
-            params=best_params,
-            best_epoch=best_epoch,
-            best_loss=best_loss,
-            metrics={},
-        )
-        rep = evaluate(ws_eval.targets, snapshot.predict(ws_eval.windows))
-        best_metrics = rep
-
     checkpoint = Checkpoint(
         config=cfg,
         n_features=n_features,
@@ -397,10 +380,15 @@ def train(
         params=best_params,
         best_epoch=best_epoch,
         best_loss=best_loss,
-        metrics={"mse": best_metrics.mse, "mae": best_metrics.mae, "r2": best_metrics.r2},
+        metrics={},
         feature_names=feature_names,
         normalization=normalization,
     )
+    if best_metrics is None:  # checkpointed on training loss: score the kept params
+        best_metrics = evaluate(ws_eval.targets, checkpoint.predict(ws_eval.windows))
+    checkpoint.metrics = {
+        "mse": best_metrics.mse, "mae": best_metrics.mae, "r2": best_metrics.r2
+    }
     return checkpoint, history
 
 
@@ -427,152 +415,111 @@ class TuneRecord:
     error: str | None = None
 
 
+_REPORT_COLUMNS = "selected_features,layers,hidden,lr,epochs,mse,mae,r2".split(",")
+
+
+def _rank(r: TuneRecord) -> tuple:
+    return (r.mse, r.n_params)
+
+
+def _report_cells(r: TuneRecord) -> list:
+    return [r.n_features, r.layers, r.hidden_dim, r.learning_rate, r.best_epoch,
+            r.mse, r.mae, "nan" if r.r2 is None else r.r2]
+
+
 @dataclass
 class TuneReport:
-    """All grid records plus the winner checkpoint per feature set."""
+    """All grid records, in grid order, plus the winner checkpoint per feature set."""
 
     records: list[TuneRecord]
     checkpoints: dict[int, Checkpoint]
-    mode: str
-    pue_units: bool
 
     def winners(self) -> list[TuneRecord]:
-        """Best non-failed record per feature set (lowest MSE, ties to fewer params)."""
+        """Best non-failed record per feature set, in set order: lowest MSE,
+        ties to fewer parameters, then to the earlier grid point."""
         out: list[TuneRecord] = []
         for si in sorted({r.feature_set_index for r in self.records}):
             ok = [r for r in self.records if r.feature_set_index == si and not r.failed]
             if ok:
-                out.append(min(ok, key=lambda r: (r.mse, r.n_params)))
+                out.append(min(ok, key=_rank))
         return out
 
     @property
     def best(self) -> TuneRecord | None:
-        ok = [r for r in self.records if not r.failed]
-        if not ok:
-            return None
-        return min(ok, key=lambda r: (r.mse, r.n_params))
+        return min(self.winners(), key=_rank, default=None)
 
-    def to_csv(self, path: str | Path, winners_only: bool = True) -> None:
-        rows = self.winners() if winners_only else self.records
-        lines = ["selected_features,layers,hidden,lr,epochs,mse,mae,r2"]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(r.n_features),
-                        str(r.layers),
-                        str(r.hidden_dim),
-                        repr(r.learning_rate),
-                        "" if r.best_epoch is None else str(r.best_epoch),
-                        "" if r.mse is None else repr(r.mse),
-                        "" if r.mae is None else repr(r.mae),
-                        "nan" if r.r2 is None else repr(r.r2),
-                    ]
-                )
-            )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def to_csv(self, path: str | Path) -> None:
+        """One row per feature set: its winner."""
+        write_rows(path, _REPORT_COLUMNS, [_report_cells(r) for r in self.winners()])
 
     def to_records_csv(self, path: str | Path) -> None:
-        lines = [
-            "feature_set,selected_features,layers,hidden,lr,epochs,mse,mae,r2,n_params,failed,error"
-        ]
-        for r in self.records:
-            lines.append(
-                ",".join(
-                    [
-                        r.feature_set_label,
-                        str(r.n_features),
-                        str(r.layers),
-                        str(r.hidden_dim),
-                        repr(r.learning_rate),
-                        "" if r.best_epoch is None else str(r.best_epoch),
-                        "" if r.mse is None else repr(r.mse),
-                        "" if r.mae is None else repr(r.mae),
-                        "nan" if r.r2 is None else repr(r.r2),
-                        str(r.n_params),
-                        str(int(r.failed)),
-                        '"' + (r.error or "").replace('"', "'") + '"',
-                    ]
-                )
-            )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        """One row per grid point, failed ones with their error message."""
+        write_rows(
+            path,
+            ["feature_set"] + _REPORT_COLUMNS + ["n_params", "failed", "error"],
+            [[r.feature_set_label, *_report_cells(r), r.n_params, int(r.failed), r.error]
+             for r in self.records],
+        )
 
 
 @dataclass
 class _Job:
     si: int
-    ci: int
     label: str
     feature_names: list[str]
     ws_train: WindowedSet
     ws_eval: WindowedSet
     cfg: TrainConfig
     normalization: NormalizationParams
-    target_span: float
     pue_units: bool
 
 
-def _run_job(job: _Job) -> tuple[int, int, TuneRecord, Checkpoint | None]:
+def _run_job(job: _Job) -> tuple[TuneRecord, Checkpoint | None]:
+    cfg = job.cfg
     n_feat = len(job.feature_names)
-    base = dict(
+    n_params = init_params(n_feat, cfg.hidden_dim, cfg.layers, cfg.mode, seed=0).n_params()
+    rec = TuneRecord(
         feature_set_index=job.si,
         feature_set_label=job.label,
         feature_names=job.feature_names,
         n_features=n_feat,
-        mode=job.cfg.mode,
-        layers=job.cfg.layers,
-        hidden_dim=job.cfg.hidden_dim,
-        learning_rate=job.cfg.learning_rate,
-        window=job.cfg.window,
-        seed=job.cfg.seed,
+        mode=cfg.mode,
+        layers=cfg.layers,
+        hidden_dim=cfg.hidden_dim,
+        learning_rate=cfg.learning_rate,
+        window=cfg.window,
+        seed=cfg.seed,
+        n_params=n_params,
+        best_epoch=None,
+        mse=None,
+        mae=None,
+        r2=None,
     )
-    model_shape = init_params(
-        n_feat, job.cfg.hidden_dim, job.cfg.layers, job.cfg.mode, seed=0
-    )
-    n_params = model_shape.n_params()
     try:
         ckpt, _history = train(
             job.ws_train,
             job.ws_eval,
-            job.cfg,
+            cfg,
             feature_names=job.feature_names,
             normalization=job.normalization,
         )
-    except TrainingDiverged as exc:
-        rec = TuneRecord(
-            **base,
-            n_params=n_params,
-            best_epoch=None,
-            mse=None if not np.isfinite(exc.last_finite_loss) else exc.last_finite_loss,
-            mae=None,
-            r2=None,
-            failed=True,
-            error=str(exc),
-        )
-        return job.si, job.ci, rec, None
-    except Exception as exc:  # propagated failures are recorded, not fatal
-        rec = TuneRecord(
-            **base,
-            n_params=n_params,
-            best_epoch=None,
-            mse=None,
-            mae=None,
-            r2=None,
-            failed=True,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        return job.si, job.ci, rec, None
+    except Exception as exc:  # a failed grid point is recorded, not fatal
+        rec.failed = True
+        if isinstance(exc, TrainingDiverged):
+            rec.error = str(exc)
+            if math.isfinite(exc.last_finite_loss):
+                rec.mse = exc.last_finite_loss
+        else:
+            rec.error = f"{type(exc).__name__}: {exc}"
+        return rec, None
 
-    scale = job.target_span if job.pue_units else 1.0
-    rec = TuneRecord(
-        **base,
-        n_params=n_params,
-        best_epoch=ckpt.best_epoch,
-        mse=ckpt.metrics["mse"] * scale * scale,
-        mae=ckpt.metrics["mae"] * scale,
-        r2=ckpt.metrics["r2"],
-    )
-    return job.si, job.ci, rec, ckpt
+    norm = job.normalization
+    scale = norm.target_max - norm.target_min if job.pue_units else 1.0
+    rec.best_epoch = ckpt.best_epoch
+    rec.mse = ckpt.metrics["mse"] * scale * scale
+    rec.mae = ckpt.metrics["mae"] * scale
+    rec.r2 = ckpt.metrics["r2"]
+    return rec, ckpt
 
 
 def grid_search(
@@ -614,53 +561,34 @@ def grid_search(
         norm = fit_normalizer(sub if fit_on_all else train_ds)
         ws_tr = window(normalize(train_ds, norm), window_length)
         ws_te = window(normalize(test_ds, norm), window_length)
-        span = norm.target_max - norm.target_min
         label = f"set{si:02d}_n{len(names)}"
-        ci = 0
-        for layers in layers_grid:
-            for hidden in hidden_grid:
-                for lr in lr_grid:
-                    cfg = TrainConfig(
-                        layers=layers,
-                        hidden_dim=hidden,
-                        learning_rate=lr,
-                        max_epochs=max_epochs,
-                        eval_every=eval_every,
-                        mode=mode,
-                        seed=seed + 1000 * si + ci,
-                        window=window_length,
-                        grad_clip=grad_clip,
-                        checkpoint_on_train_loss=checkpoint_on_train_loss,
-                    )
-                    jobs.append(
-                        _Job(si, ci, label, list(names), ws_tr, ws_te, cfg,
-                             norm, span, pue_units)
-                    )
-                    ci += 1
+        grid = itertools.product(layers_grid, hidden_grid, lr_grid)
+        for ci, (layers, hidden, lr) in enumerate(grid):
+            cfg = TrainConfig(
+                layers=layers,
+                hidden_dim=hidden,
+                learning_rate=lr,
+                max_epochs=max_epochs,
+                eval_every=eval_every,
+                mode=mode,
+                seed=seed + 1000 * si + ci,
+                window=window_length,
+                grad_clip=grad_clip,
+                checkpoint_on_train_loss=checkpoint_on_train_loss,
+            )
+            jobs.append(
+                _Job(si, label, list(names), ws_tr, ws_te, cfg, norm, pue_units)
+            )
 
-    results: dict[tuple[int, int], tuple[TuneRecord, Checkpoint | None]] = {}
     if workers <= 1:
-        for job in jobs:
-            si, ci, rec, ckpt = _run_job(job)
-            results[(si, ci)] = (rec, ckpt)
+        outcomes = [_run_job(job) for job in jobs]
     else:
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=get_context("spawn")
         ) as pool:
-            for si, ci, rec, ckpt in pool.map(_run_job, jobs):
-                results[(si, ci)] = (rec, ckpt)
+            outcomes = list(pool.map(_run_job, jobs))
 
-    records: list[TuneRecord] = []
-    winner_ckpt: dict[int, Checkpoint] = {}
-    winner_key: dict[int, tuple] = {}
-    for job in jobs:
-        rec, ckpt = results[(job.si, job.ci)]
-        records.append(rec)
-        if not rec.failed and ckpt is not None:
-            key = (rec.mse, rec.n_params, job.ci)
-            if job.si not in winner_key or key < winner_key[job.si]:
-                winner_key[job.si] = key
-                winner_ckpt[job.si] = ckpt
-    return TuneReport(
-        records=records, checkpoints=winner_ckpt, mode=mode, pue_units=pue_units
-    )
+    report = TuneReport([rec for rec, _ in outcomes], {})
+    ckpt_of = {id(rec): ckpt for rec, ckpt in outcomes}
+    report.checkpoints = {w.feature_set_index: ckpt_of[id(w)] for w in report.winners()}
+    return report

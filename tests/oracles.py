@@ -144,6 +144,25 @@ def loop_metrics(y_true, y_pred):
     return se / n, ae / n, r2
 
 
+# -------------------------------------------------------------- windowing
+
+def loop_windows(X, y, W):
+    """Sliding windows cut row by row: window k is rows k..k+W-1, target y[k+W-1]."""
+    windows, targets = [], []
+    for k in range(len(X) - W + 1):
+        windows.append([list(X[k + j]) for j in range(W)])
+        targets.append(y[k + W - 1])
+    return np.array(windows, dtype=np.float64).reshape(-1, W, X.shape[1]), np.array(targets)
+
+
+def loop_train_rows(n, fraction):
+    """Largest row count k with k <= fraction * n, found by counting up."""
+    k = 0
+    while k + 1 <= fraction * n:
+        k += 1
+    return k
+
+
 # --------------------------------------------------------------------- GBT
 
 def walk_predict(model, X):
@@ -206,3 +225,31 @@ def leaf_closed_form_worst_err(model, X, y):
             expected = np.sum(rs) / (len(rs) + model.reg_lambda)
             worst = max(worst, abs(tree.value[i] - expected))
     return worst
+
+
+def tree_depth(tree):
+    """Longest root-to-leaf path of a fitted tree, counted in splits."""
+    def walk(i):
+        if tree.feature[i] < 0:
+            return 0
+        return 1 + max(walk(int(tree.left[i])), walk(int(tree.right[i])))
+    return walk(0)
+
+
+def model_dump(model):
+    """Text rendering of every split and leaf of a fitted ensemble."""
+    lines = [f"base_score={model.base_score!r} lr={model.learning_rate!r}"]
+
+    def walk(tree, i, pad):
+        if tree.feature[i] < 0:
+            lines.append(f"{pad}leaf value={tree.value[i]:.6g}")
+        else:
+            lines.append(f"{pad}if x[{int(tree.feature[i])}] < {tree.threshold[i]:.6g}:")
+            walk(tree, int(tree.left[i]), pad + "  ")
+            lines.append(f"{pad}else:")
+            walk(tree, int(tree.right[i]), pad + "  ")
+
+    for k, tree in enumerate(model.trees):
+        lines.append(f"tree {k}:")
+        walk(tree, 0, "")
+    return "\n".join(lines)

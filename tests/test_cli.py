@@ -150,6 +150,16 @@ class TestTune:
         row = (outdir / "tune_report.csv").read_text().strip().split("\n")[1]
         assert row.split(",")[0] == str(len(doc[0]["selected_features"]))
 
+    def test_bad_feature_sets_file_names_file_entry_and_field(self, small_csv, tmp_path,
+                                                              capsys):
+        sets = tmp_path / "sets.json"
+        sets.write_text(json.dumps([{"selected_features": "it_power_kw"}]))
+        code = run_cli("tune", "-i", str(small_csv), "-f", str(sets),
+                       "-o", str(tmp_path / "tune"), "--max-epochs", "2",
+                       "--eval-every", "2")
+        assert code == 1
+        assert f"{sets}: entry 0: field 'selected_features'" in capsys.readouterr().err
+
     def test_all_configs_failed_is_an_error(self, small_csv, tmp_path, capsys):
         # a step of 1e300 overflows the next forward pass, so training diverges
         code = run_cli(
@@ -254,6 +264,17 @@ class TestPredict:
             assert code == 1
             assert str(path) in err
             assert ("feature_min" if name == "norm" else "params_b64") in err
+
+    def test_checkpoint_not_an_object_or_not_json(self, small_csv, tmp_path, capsys):
+        for name, text in (("list", "[1, 2]"), ("broken", '{"format_version": 1,')):
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            code = run_cli("predict", "-c", str(path), "-i", str(small_csv),
+                           "-o", str(tmp_path / "p.csv"))
+            err = capsys.readouterr().err
+            assert code == 1
+            assert f"{path}: " in err
+            assert ("expected a JSON object" if name == "list" else "not valid JSON") in err
 
     def test_input_shorter_than_window(self, small_csv, tmp_path, capsys):
         ckpt = self._tune(small_csv, tmp_path)

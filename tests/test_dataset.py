@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import loop_train_rows, loop_windows
 from pue_forecast.dataset import (
     CsvFormatError,
     Dataset,
@@ -401,3 +402,38 @@ class TestSplit:
         a, b = split_chronological(ds, 0.5)
         assert np.array_equal(np.concatenate([a.y, b.y]), ds.y)
         assert np.array_equal(np.vstack([a.X, b.X]), ds.X)
+
+
+def _random_dataset(n, f, seed):
+    rng = np.random.default_rng(seed)
+    return Dataset([f"c{i}" for i in range(f)], [f"t{i:03d}" for i in range(n)],
+                   rng.normal(size=(n, f)), rng.uniform(1, 2, n))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 30), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+def test_window_matches_row_by_row_oracle(n, f, seed, data):
+    ds = _random_dataset(n, f, seed)
+    W = data.draw(st.integers(1, n))
+    ws = window(ds, W)
+    windows, targets = loop_windows(ds.X, ds.y, W)
+    assert ws.windows.shape == (n - W + 1, W, f)
+    assert np.array_equal(ws.windows, windows)
+    assert np.array_equal(ws.targets, targets)  # target of window k is y[k+W-1]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 40), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
+def test_split_keeps_rows_in_order(n, fraction, seed):
+    ds = _random_dataset(n, 2, seed)
+    k = loop_train_rows(n, fraction)
+    if k in (0, n):
+        with pytest.raises(ValueError, match="empty partition"):
+            split_chronological(ds, fraction)
+        return
+    head, tail = split_chronological(ds, fraction)
+    assert (head.n_samples, tail.n_samples) == (k, n - k)
+    assert head.feature_names == tail.feature_names == ds.feature_names
+    assert head.timestamps + tail.timestamps == ds.timestamps
+    assert np.array_equal(np.vstack([head.X, tail.X]), ds.X)
+    assert np.array_equal(np.concatenate([head.y, tail.y]), ds.y)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import best_stump, replay_residuals, walk_predict
+from oracles import best_stump, model_dump, replay_residuals, tree_depth, walk_predict
 from pue_forecast import gbt
 from pue_forecast.gbt import (
     GbtModel,
@@ -75,7 +75,7 @@ class TestFit:
         y = rng.normal(size=80)
         for depth in (1, 2, 4):
             m = gbt_fit(X, y, n_estimators=8, learning_rate=0.3, max_depth=depth)
-            assert all(t.depth() <= depth for t in m.trees)
+            assert all(tree_depth(t) <= depth for t in m.trees)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -83,7 +83,7 @@ class TestFit:
         y = rng.normal(size=40)
         a = gbt_fit(X, y, 10, 0.3, 3)
         b = gbt_fit(X, y, 10, 0.3, 3)
-        assert a.dump() == b.dump()
+        assert model_dump(a) == model_dump(b)
         Xt = rng.normal(size=(20, 3))
         assert np.array_equal(gbt_predict(a, Xt), gbt_predict(b, Xt))
 
@@ -314,7 +314,7 @@ class TestMultiRoot:
             ref = gbt_fit(X[a:b], y[a:b], n_estimators, 0.3, max_depth,
                           reg_lambda=reg_lambda)
             _assert_same_model(model, ref)
-            assert all(t.depth() <= max_depth for t in model.trees)
+            assert all(tree_depth(t) <= max_depth for t in model.trees)
 
     @settings(deadline=None, max_examples=40)
     @given(

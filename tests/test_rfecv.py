@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -271,3 +272,28 @@ class TestExports:
         assert len(lines) == 3  # counts 2 and 1 for the single config
         first = lines[1].split(",")
         assert first[0] == "0.3" and first[3] == "2"
+
+
+class TestLoadFeatureSets:
+    @pytest.mark.parametrize("doc, message", [
+        ([{"config": {}}], "entry 0: field 'selected_features' is missing"),
+        ([{"selected_features": ["a"]}, {"selected_features": "it_power_kw"}],
+         "entry 1: field 'selected_features' must be"),
+        ([{"selected_features": []}], "entry 0: field 'selected_features' must be"),
+        ([{"selected_features": [1, 2]}], "entry 0: field 'selected_features' must be"),
+        ([{"selected_features": ["a", "a"]}], "entry 0: field 'selected_features' must be"),
+        ([["a"]], "entry 0: expected a JSON object"),
+        ({"selected_features": ["a"]}, "expected a non-empty JSON list"),
+        ([], "expected a non-empty JSON list"),
+    ])
+    def test_malformed_entry_names_file_entry_and_field(self, tmp_path, doc, message):
+        path = tmp_path / "sets.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_feature_sets(path)
+
+    def test_malformed_json_names_file(self, tmp_path):
+        path = tmp_path / "sets.json"
+        path.write_text('[{"selected_features": ["a"]')
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not valid JSON")):
+            load_feature_sets(path)

@@ -1,11 +1,17 @@
+import csv
 import json
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pue_forecast.dataset import (
+    NormalizationParams,
     WindowedSet,
     fit_normalizer,
     generate_synthetic,
@@ -317,10 +323,9 @@ class TestGridSearch:
         ws_te = WindowedSet(np.zeros((2, 3, 2)), np.array([0.5, 0.7]), 3)
         cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.01,
                           max_epochs=5, eval_every=5, mode="gru", seed=0, window=3)
-        from pue_forecast.dataset import NormalizationParams
         norm = NormalizationParams(["a", "b"], np.zeros(2), np.ones(2), 1.0, 2.0)
-        job = _Job(0, 0, "set00_n2", ["a", "b"], bad_tr, ws_te, cfg, norm, 1.0, False)
-        si, ci, rec, ckpt = _run_job(job)
+        job = _Job(0, "set00_n2", ["a", "b"], bad_tr, ws_te, cfg, norm, False)
+        rec, ckpt = _run_job(job)
         assert rec.failed and ckpt is None
         assert "non-finite" in rec.error
 
@@ -363,7 +368,7 @@ class TestTuneReportSelection:
 
     def test_tie_prefers_fewer_parameters(self):
         records = [self._rec(0, 0.5, 100), self._rec(0, 0.5, 50), self._rec(0, 0.7, 10)]
-        report = TuneReport(records=records, checkpoints={}, mode="gru", pue_units=False)
+        report = TuneReport(records=records, checkpoints={})
         assert report.best.n_params == 50
         assert report.winners()[0].n_params == 50
 
@@ -371,6 +376,64 @@ class TestTuneReportSelection:
         bad = self._rec(0, None, 10)
         bad.failed = True
         bad.mse = None
-        report = TuneReport(records=[bad, self._rec(0, 0.9, 99)], checkpoints={},
-                            mode="gru", pue_units=False)
+        report = TuneReport(records=[bad, self._rec(0, 0.9, 99)], checkpoints={})
         assert report.best.mse == 0.9
+
+    def test_records_csv_keeps_error_message(self, tmp_path):
+        bad = self._rec(0, None, 10)
+        bad.failed = True
+        bad.error = 'ValueError: got "x", then y\nsecond line'
+        path = tmp_path / "records.csv"
+        TuneReport(records=[bad, self._rec(0, 0.9, 99)], checkpoints={}).to_records_csv(path)
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["error"] for r in rows] == [bad.error, ""]
+        assert [r["failed"] for r in rows] == ["1", "0"]
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.sampled_from(["gru", "bigru"]), st.integers(1, 3), st.integers(1, 16),
+    st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1),
+)
+def test_checkpoint_roundtrip_is_bitwise(mode, layers, hidden, n_features, normalized, seed):
+    rng = np.random.default_rng(seed)
+    model = init_params(n_features, hidden, layers, mode, seed=seed)
+    params = rng.standard_normal(model.n_params()) * np.exp2(
+        rng.integers(-60, 60, model.n_params()))
+    params[0] = -0.0
+    names = [f"f{i}" for i in range(n_features)]
+    lo = rng.normal(size=n_features)
+    norm = NormalizationParams(names, lo, lo + rng.uniform(0, 3, n_features),
+                               float(rng.normal()), float(rng.normal()) + 2.0)
+    ckpt = Checkpoint(
+        config=TrainConfig(layers=layers, hidden_dim=hidden, learning_rate=0.01,
+                           mode=mode, seed=seed, window=3),
+        n_features=n_features,
+        shapes=[(n, a.shape) for n, a in model.param_items()],
+        params=params,
+        best_epoch=int(rng.integers(1, 4000)),
+        best_loss=float(rng.uniform()),
+        metrics={"mse": float(rng.uniform()), "mae": float(rng.uniform()), "r2": None},
+        feature_names=names if normalized else None,
+        normalization=norm if normalized else None,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        ckpt.save(path)
+        loaded = Checkpoint.load(path)
+    assert loaded.params.tobytes() == params.tobytes()
+    assert (loaded.config, loaded.n_features, loaded.best_epoch, loaded.best_loss,
+            loaded.metrics, loaded.feature_names) == (
+        ckpt.config, n_features, ckpt.best_epoch, ckpt.best_loss, ckpt.metrics,
+        ckpt.feature_names)
+    assert [(n, tuple(s)) for n, s in loaded.shapes] == ckpt.shapes
+    if normalized:
+        for f in ("feature_min", "feature_max"):
+            assert getattr(loaded.normalization, f).tobytes() == getattr(norm, f).tobytes()
+        assert (loaded.normalization.target_min, loaded.normalization.target_max) == (
+            norm.target_min, norm.target_max)
+    else:
+        assert loaded.normalization is None
+    windows = rng.uniform(0, 1, size=(5, 3, n_features))
+    assert loaded.predict(windows).tobytes() == ckpt.predict(windows).tobytes()
