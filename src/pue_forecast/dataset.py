@@ -232,16 +232,9 @@ def load_csv(path: str | Path) -> Dataset:
 
 def write_csv(ds: Dataset, path: str | Path) -> None:
     """Write a Dataset in the generator's column layout (timestamp first, PUE last)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([TIMESTAMP_COLUMN] + ds.feature_names + [TARGET_COLUMN])
-        for i in range(ds.n_samples):
-            writer.writerow(
-                [ds.timestamps[i]]
-                + [repr(v) for v in ds.X[i].tolist()]
-                + [repr(float(ds.y[i]))]
-            )
+    rows = ([ds.timestamps[i]] + [repr(v) for v in ds.X[i].tolist()] + [repr(float(ds.y[i]))]
+            for i in range(ds.n_samples))
+    write_rows(path, [TIMESTAMP_COLUMN] + ds.feature_names + [TARGET_COLUMN], rows)
 
 
 def write_rows(path: str | Path, header: list[str], rows) -> None:

@@ -7,21 +7,22 @@ Cell recurrence per step:
     cand_t = tanh(W_h (r_t * h_prev) + U_h x_t + b_h)
     h_t    = (1 - z_t) * h_prev + z_t * cand_t
 
-A bidirectional layer runs one cell left-to-right and one right-to-left over
-the window and SUMS the two per-step hidden states (elementwise, not
-concatenation). Stacked layers consume the previous layer's full output
-sequence; the readout is an affine map of the final layer's last-step state.
+A layer is its cells: a GRU layer is one cell scanned left-to-right, a
+bidirectional layer adds one scanned right-to-left, and the layer SUMS its
+cells' per-step hidden states (elementwise, not concatenation). Stacked layers
+consume the previous layer's full output sequence; the readout is an affine map
+of the final layer's last-step state.
 
-The two directions of a layer share nothing until that sum, so the right-to-left
+The two cells of a layer share nothing until that sum, so the right-to-left
 scan (and its backward pass) runs on a second thread while the caller's thread
 runs the left-to-right one; numpy releases the GIL inside its ufunc loops and
-BLAS calls, so they overlap. Each direction reads only the shared input and
-writes only its own buffers, and the results are summed in a fixed order after
-the join, so every output is bitwise equal to running them one after the other.
-The thread lives for one call: nothing outlives it, and an error in the reverse
-direction reaches the caller. Small batches run both directions on the caller's
-thread, where handing the GIL back and forth between small numpy calls costs
-more than the overlap saves.
+BLAS calls, so they overlap. Each cell reads only the shared input and writes
+only its own buffers, and the results are summed in cell order after the join,
+so every output is bitwise equal to running them one after the other. The
+thread lives for one call: nothing outlives it, and an error in the reverse
+direction reaches the caller. One-cell layers, and small batches, run on the
+caller's thread, where handing the GIL back and forth between small numpy calls
+costs more than the overlap saves.
 
 One scan serves every entry point; a cell step is a one-step scan. It carries
 sequences time-major ([W, B, features]) and caches r, z, cand gate-major
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -56,6 +58,8 @@ T = TypeVar("T")
 # layer took 1.3-4.9x the serial time at B*H <= 4096, and the crossover lay
 # between B*H = 8192 and 32768, moving with the machine's load.
 _THREAD_MIN_BLOCK = 1 << 14
+
+_CELLS_PER_LAYER = {"gru": 1, "bigru": 2}
 
 
 def _matmul_exact(a: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -142,6 +146,20 @@ class BiGruLayer:
     def input_dim(self) -> int:
         return self.forward.input_dim
 
+    def param_items(self) -> list[tuple[str, np.ndarray]]:
+        return [(f"{tag}.{n}", a) for tag, cell in (("fwd", self.forward), ("bwd", self.backward))
+                for n, a in cell.param_items()]
+
+
+def _cells(layer: GruParams | BiGruLayer) -> tuple[GruParams, ...]:
+    """The cells of a layer in scan order; the second one scans right to left."""
+    return (layer.forward, layer.backward) if isinstance(layer, BiGruLayer) else (layer,)
+
+
+def _layer(cells: list[GruParams]) -> GruParams | BiGruLayer:
+    """The layer made of `cells`, the inverse of _cells."""
+    return BiGruLayer(*cells) if len(cells) == 2 else cells[0]
+
 
 @dataclass
 class Model:
@@ -153,7 +171,7 @@ class Model:
     mode: str
 
     def __post_init__(self):
-        if self.mode not in ("gru", "bigru"):
+        if self.mode not in _CELLS_PER_LAYER:
             raise ValueError(f"unknown mode {self.mode!r}")
         want = BiGruLayer if self.mode == "bigru" else GruParams
         if not self.layers or any(not isinstance(l, want) for l in self.layers):
@@ -168,21 +186,10 @@ class Model:
     def input_dim(self) -> int:
         return self.layers[0].input_dim
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.layers[0].hidden_dim
-
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        items: list[tuple[str, np.ndarray]] = []
-        for k, layer in enumerate(self.layers):
-            if self.mode == "bigru":
-                items += [(f"layer{k}.fwd.{n}", a) for n, a in layer.forward.param_items()]
-                items += [(f"layer{k}.bwd.{n}", a) for n, a in layer.backward.param_items()]
-            else:
-                items += [(f"layer{k}.{n}", a) for n, a in layer.param_items()]
-        items.append(("head.w_o", self.w_o))
-        items.append(("head.b_o", self.b_o))
-        return items
+        items = [(f"layer{k}.{n}", a) for k, layer in enumerate(self.layers)
+                 for n, a in layer.param_items()]
+        return items + [("head.w_o", self.w_o), ("head.b_o", self.b_o)]
 
     def param_arrays(self) -> list[np.ndarray]:
         return [a for _, a in self.param_items()]
@@ -207,13 +214,11 @@ def init_params(
                 [(h, h)] * 3 + [(h, input_dim)] * 3]
         return GruParams(*mats, b_r=np.zeros(h), b_z=np.zeros(h), b_h=np.zeros(h))
 
+    n_cells = _CELLS_PER_LAYER.get(mode, 1)  # Model rejects an unknown mode
     layers = []
     in_dim = n_features
     for _ in range(n_layers):
-        if mode == "bigru":
-            layers.append(BiGruLayer(forward=cell(in_dim), backward=cell(in_dim)))
-        else:
-            layers.append(cell(in_dim))
+        layers.append(_layer([cell(in_dim) for _ in range(n_cells)]))
         in_dim = hidden_dim
     w_o = rng.uniform(-k, k, size=hidden_dim)
     return Model(layers=layers, w_o=w_o, b_o=np.zeros(1), mode=mode)
@@ -256,14 +261,8 @@ class ScanCache:
 
 
 @dataclass
-class LayerCache:
-    fwd: ScanCache
-    bwd: ScanCache | None
-
-
-@dataclass
 class ModelCache:
-    layers: list[LayerCache]
+    layers: list[list[ScanCache]]  # per layer, one scan cache per cell in cell order
     last_hidden: np.ndarray  # [B, H] final layer, last step
 
 
@@ -301,7 +300,7 @@ def _gru_scan(
 
 
 def _gru_scan_backward(
-    p: GruParams, cache: ScanCache, d_out: np.ndarray, mm: MatMul
+    p: GruParams, cache: ScanCache, d_out: np.ndarray
 ) -> tuple[GruParams, np.ndarray]:
     """Backprop one scan; returns (parameter grads as a GruParams, d_input_seq).
 
@@ -325,14 +324,14 @@ def _gru_scan_backward(
         np.subtract(1.0, z, out=t2)
         dh *= t2
         np.multiply(t1, t2, out=z)            # da_z
-        mm(cand, p.W_h, t1)                   # grad of r * h_prev
+        np.matmul(cand, p.W_h, t1)            # grad of r * h_prev
         np.multiply(t1, r, out=t2)
         dh += t2
         t1 *= h_prev
         np.subtract(1.0, r, out=t2)
         t2 *= r
         np.multiply(t1, t2, out=r)            # da_r
-        np.add(mm(r, p.W_r, t1), mm(z, p.W_z, t2), out=t2)
+        np.add(np.matmul(r, p.W_r, t1), np.matmul(z, p.W_z, t2), out=t2)
         dh += t2
 
     n = W * B
@@ -347,53 +346,48 @@ def _gru_scan_backward(
     return GruParams(*d_W, d_W_h, *d_U, *da.sum(axis=1)), d_seq.reshape(W, B, -1)
 
 
-def _both_directions(
-    forward: Callable[[], T], reverse: Callable[[], T], block: int
-) -> tuple[T, T]:
-    """(forward(), reverse()); reverse() runs on a second thread meanwhile when
-    `block`, the element count of one step's [B, H] block, is at least
-    _THREAD_MIN_BLOCK, and after forward() on this thread otherwise.
+def _each_direction(runs: list[Callable[[], T]], block: int) -> list[T]:
+    """[run() for run in runs]; a second run runs on a second thread meanwhile
+    when `block`, the element count of one step's [B, H] block, is at least
+    _THREAD_MIN_BLOCK, and after the first on this thread otherwise.
 
     The thread is joined before this returns, also when either side raises;
-    an exception from reverse() is re-raised here."""
-    if block < _THREAD_MIN_BLOCK:
-        return forward(), reverse()
+    an exception from the second run is re-raised here."""
+    if len(runs) == 1 or block < _THREAD_MIN_BLOCK:
+        return [run() for run in runs]
+    first, second = runs
     with ThreadPoolExecutor(max_workers=1) as pool:
-        rev = pool.submit(reverse)
-        return forward(), rev.result()
+        rev = pool.submit(second)
+        return [first(), rev.result()]
 
 
-def _bigru_layer_forward(
-    layer: BiGruLayer, seq: np.ndarray, mm: MatMul
-) -> tuple[np.ndarray, LayerCache]:
-    (out_f, cache_f), (out_b, cache_b) = _both_directions(
-        lambda: _gru_scan(layer.forward, seq, mm),
-        lambda: _gru_scan(layer.backward, seq, mm, reverse=True),
+def _layer_forward(
+    layer: GruParams | BiGruLayer, seq: np.ndarray, mm: MatMul
+) -> tuple[np.ndarray, list[ScanCache]]:
+    """Scan every cell of a layer over [W, B, I] and sum their outputs in cell order."""
+    scans = _each_direction(
+        [partial(_gru_scan, p, seq, mm, reverse=k == 1) for k, p in enumerate(_cells(layer))],
         seq.shape[1] * layer.hidden_dim,
     )
-    return out_f + out_b, LayerCache(fwd=cache_f, bwd=cache_b)
+    out = scans[0][0]
+    for more, _ in scans[1:]:
+        out = out + more
+    return out, [cache for _, cache in scans]
 
 
-def bigru_forward(layer: BiGruLayer, X_seq: np.ndarray) -> np.ndarray:
-    """Run one bidirectional layer over a single window [W, input_dim].
+def gru_forward(layer: GruParams | BiGruLayer, X_seq: np.ndarray) -> np.ndarray:
+    """Run one layer over a single window [W, input_dim], each cell from zero.
 
-    Row t of the result is the sum of the forward scan's state at t and the
-    backward scan's state at t, both started from zero.
+    For a BiGruLayer, row t of the result is the sum of the forward scan's
+    state at t and the backward scan's state at t.
     """
     X_seq = np.asarray(X_seq, dtype=np.float64)
     if X_seq.ndim != 2 or X_seq.shape[1] != layer.input_dim:
         raise ValueError(f"expected [W, {layer.input_dim}] input, got {X_seq.shape}")
-    out, _ = _bigru_layer_forward(layer, X_seq[:, None], _matmul_exact)
-    return out[:, 0]
+    return _layer_forward(layer, X_seq[:, None], _matmul_exact)[0][:, 0]
 
 
-def gru_forward(p: GruParams, X_seq: np.ndarray) -> np.ndarray:
-    """Run one unidirectional scan over a single window [W, input_dim]."""
-    X_seq = np.asarray(X_seq, dtype=np.float64)
-    if X_seq.ndim != 2 or X_seq.shape[1] != p.input_dim:
-        raise ValueError(f"expected [W, {p.input_dim}] input, got {X_seq.shape}")
-    out, _ = _gru_scan(p, X_seq[:, None], _matmul_exact)
-    return out[:, 0]
+bigru_forward = gru_forward
 
 
 def forward_batch(
@@ -407,14 +401,10 @@ def forward_batch(
         )
     mm = _matmul_exact if exact else np.matmul
     seq = np.ascontiguousarray(X.transpose(1, 0, 2))
-    layer_caches: list[LayerCache] = []
+    layer_caches = []
     for layer in model.layers:
-        if model.mode == "bigru":
-            seq, cache = _bigru_layer_forward(layer, seq, mm)
-        else:
-            seq, scan = _gru_scan(layer, seq, mm)
-            cache = LayerCache(fwd=scan, bwd=None)
-        layer_caches.append(cache)
+        seq, scans = _layer_forward(layer, seq, mm)
+        layer_caches.append(scans)
     last = seq[-1]
     if exact:
         pred = np.full(X.shape[0], model.b_o[0])
@@ -440,23 +430,19 @@ def backward_batch(
     dw_o = cache.last_hidden.T @ d_pred
     db_o = np.array([d_pred.sum()])
 
-    grad_layers: list = []
-    W = cache.layers[-1].fwd.seq.shape[0]
+    grad_layers = []
+    W = cache.layers[-1][0].seq.shape[0]
     d_seq = np.zeros((W, d_pred.shape[0], model.layers[-1].hidden_dim))
     d_seq[-1] = d_pred[:, None] * model.w_o[None, :]
-    for layer, lcache in zip(reversed(model.layers), reversed(cache.layers)):
-        if model.mode == "bigru":
-            (g_f, d_seq_f), (g_b, d_seq_b) = _both_directions(
-                lambda: _gru_scan_backward(layer.forward, lcache.fwd, d_seq, np.matmul),
-                lambda: _gru_scan_backward(layer.backward, lcache.bwd, d_seq, np.matmul),
-                d_seq.shape[1] * layer.hidden_dim,
-            )
-            grad_layers.append(BiGruLayer(forward=g_f, backward=g_b))
-            d_seq = d_seq_f
-            d_seq += d_seq_b
-        else:
-            g, d_seq = _gru_scan_backward(layer, lcache.fwd, d_seq, np.matmul)
-            grad_layers.append(g)
+    for layer, scans in zip(reversed(model.layers), reversed(cache.layers)):
+        grads = _each_direction(
+            [partial(_gru_scan_backward, p, c, d_seq) for p, c in zip(_cells(layer), scans)],
+            d_seq.shape[1] * layer.hidden_dim,
+        )
+        grad_layers.append(_layer([g for g, _ in grads]))
+        d_seq = grads[0][1]
+        for _, more in grads[1:]:
+            d_seq += more
     grad_layers.reverse()
     return Model(layers=grad_layers, w_o=dw_o, b_o=db_o, mode=model.mode)
 

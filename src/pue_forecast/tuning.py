@@ -151,27 +151,22 @@ class Checkpoint:
 
     config: TrainConfig
     n_features: int
-    shapes: list[tuple[str, tuple[int, ...]]]
     params: np.ndarray  # flat float64, row-major per shape manifest
     best_epoch: int
     best_loss: float
     metrics: dict
     feature_names: list[str] | None = None
     normalization: NormalizationParams | None = None
-    format_version: int = CHECKPOINT_FORMAT_VERSION
+
+    @property
+    def shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+        """(name, shape) of each parameter array in payload order, from the config."""
+        return [(n, a.shape) for n, a in _skeleton(self.config, self.n_features).param_items()]
 
     def to_model(self) -> Model:
-        model = init_params(
-            self.n_features, self.config.hidden_dim, self.config.layers,
-            self.config.mode, seed=0,
-        )
-        items = model.param_items()
-        if [(n, a.shape) for n, a in items] != [
-            (n, tuple(s)) for n, s in self.shapes
-        ]:
-            raise ValueError("checkpoint shape manifest does not match its config")
+        model = _skeleton(self.config, self.n_features)
         offset = 0
-        for _, arr in items:
+        for arr in model.param_arrays():
             arr[...] = self.params[offset : offset + arr.size].reshape(arr.shape)
             offset += arr.size
         if offset != self.params.size:
@@ -186,7 +181,7 @@ class Checkpoint:
     def save(self, path: str | Path) -> None:
         payload = np.ascontiguousarray(self.params, dtype="<f8").tobytes()
         doc = {
-            "format_version": self.format_version,
+            "format_version": CHECKPOINT_FORMAT_VERSION,
             "config": asdict(self.config),
             "n_features": self.n_features,
             "shapes": [[n, list(s)] for n, s in self.shapes],
@@ -220,22 +215,47 @@ class Checkpoint:
         norm = doc["normalization"]
         if norm is not None:
             require_fields(path, norm, _NORMALIZATION_FIELDS, "normalization")
+        require_fields(path, doc["metrics"], ("mse", "mae", "r2"), "field 'metrics'")
         try:
             config = TrainConfig(**doc["config"])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: field 'config': {exc}") from None
+        n_features, epoch, loss = doc["n_features"], doc["best_epoch"], doc["best_loss"]
+        checks = [
+            ("n_features", n_features, type(n_features) is int and n_features > 0,
+             "a positive int"),
+            ("best_epoch", epoch, type(epoch) is int, "an int"),
+            ("best_loss", loss, type(loss) in (int, float) and math.isfinite(loss),
+             "a finite number"),
+        ]
         names = doc["feature_names"]
+        lists = [] if names is None else [("feature_names", names)]
+        if norm is not None:
+            lists += [(f"normalization.{f}", norm[f])
+                      for f in ("feature_names", "feature_min", "feature_max")]
+        checks += [(f, v, isinstance(v, list) and len(v) == n_features,
+                    f"a list of {n_features} entries") for f, v in lists]
+        for name, value, ok, want in checks:
+            if not ok:
+                raise ValueError(f"{path}: field {name!r} must be {want}, got {value!r}")
         if norm is not None and names is not None and norm["feature_names"] != names:
             raise ValueError(
                 f"{path}: field 'normalization.feature_names' {norm['feature_names']!r} "
                 f"differs from field 'feature_names' {names!r}"
             )
-        shapes = _parse_shapes(path, doc["shapes"])
+        skeleton = _skeleton(config, n_features)
+        want = [[n, list(a.shape)] for n, a in skeleton.param_items()]
+        got = doc["shapes"] if isinstance(doc["shapes"], list) else [doc["shapes"]]
+        if got != want:  # a missing entry reads as None
+            i, g, w = next((i, g, w) for i, (g, w) in
+                           enumerate(itertools.zip_longest(got, want)) if g != w)
+            raise ValueError(f"{path}: field 'shapes' entry {i} is {g!r}; fields "
+                             f"'config' and 'n_features' give {w!r}")
         try:
             payload = base64.b64decode(doc["params_b64"], validate=True)
         except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
             raise ValueError(f"{path}: field 'params_b64' is not base64: {exc}") from None
-        expected = sum(int(np.prod(s)) for _, s in shapes)
+        expected = skeleton.n_params()
         if len(payload) != 8 * expected:
             raise ValueError(
                 f"{path}: field 'params_b64' holds {len(payload)} bytes; the "
@@ -246,11 +266,10 @@ class Checkpoint:
             raise ValueError(f"{path}: field 'params_b64' contains non-finite values")
         return Checkpoint(
             config=config,
-            n_features=doc["n_features"],
-            shapes=shapes,
+            n_features=n_features,
             params=params,
-            best_epoch=doc["best_epoch"],
-            best_loss=doc["best_loss"],
+            best_epoch=epoch,
+            best_loss=loss,
             metrics=doc["metrics"],
             feature_names=names,
             normalization=None
@@ -265,22 +284,9 @@ class Checkpoint:
         )
 
 
-def _parse_shapes(path: str | Path, raw) -> list[tuple[str, tuple[int, ...]]]:
-    """The `shapes` manifest: a list of [name, [dim, ...]] entries."""
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: field 'shapes' must be a list, got {raw!r}")
-    out = []
-    for i, entry in enumerate(raw):
-        if not (
-            isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-            and isinstance(entry[1], list)
-            and all(type(d) is int and d >= 0 for d in entry[1])
-        ):
-            raise ValueError(
-                f"{path}: field 'shapes' entry {i} is {entry!r}; expected [name, [dims]]"
-            )
-        out.append((entry[0], tuple(entry[1])))
-    return out
+def _skeleton(config: TrainConfig, n_features: int) -> Model:
+    """A model laid out as `config` gives for `n_features` inputs."""
+    return init_params(n_features, config.hidden_dim, config.layers, config.mode, seed=0)
 
 
 def _flat_params(model: Model) -> np.ndarray:
@@ -336,6 +342,10 @@ def train(
             raise TrainingDiverged(epoch, last_finite)
         last_finite = loss
         history.train_loss.append(loss)
+        if cfg.checkpoint_on_train_loss and loss < best_loss:  # the params that gave `loss`
+            best_loss = loss
+            best_epoch = epoch
+            best_params = _flat_params(model)
 
         if cfg.learning_rate > 0.0:
             grads = backward_batch(model, cache, 2.0 * err / B)
@@ -354,11 +364,6 @@ def train(
         # that one's and set the peak memory
         del cache
 
-        if cfg.checkpoint_on_train_loss and loss < best_loss:
-            best_loss = loss
-            best_epoch = epoch
-            best_params = _flat_params(model)
-
         if epoch % cfg.eval_every == 0:
             ev_pred = predict_batch(model, ws_eval.windows)
             rep = evaluate(ws_eval.targets, ev_pred)
@@ -376,7 +381,6 @@ def train(
     checkpoint = Checkpoint(
         config=cfg,
         n_features=n_features,
-        shapes=[(n, a.shape) for n, a in model.param_items()],
         params=best_params,
         best_epoch=best_epoch,
         best_loss=best_loss,
@@ -477,7 +481,7 @@ class _Job:
 def _run_job(job: _Job) -> tuple[TuneRecord, Checkpoint | None]:
     cfg = job.cfg
     n_feat = len(job.feature_names)
-    n_params = init_params(n_feat, cfg.hidden_dim, cfg.layers, cfg.mode, seed=0).n_params()
+    n_params = _skeleton(cfg, n_feat).n_params()
     rec = TuneRecord(
         feature_set_index=job.si,
         feature_set_label=job.label,

@@ -55,20 +55,22 @@ def random_config_check(seed, max_features=4, max_hidden=4, max_layers=2,
     return finite_diff_worst_rel_err(model, X, eps=eps)
 
 
-# ------------------------------------------------------- serial BiGRU scans
+# ------------------------------------------------------ serial layer scans
 
-def serial_bigru(model, X, d_pred, exact):
-    """forward_batch predictions and backward_batch gradient arrays of a bigru
-    model, with the two directions of every layer scanned one after the other
-    on the calling thread through the library's scan kernels."""
+def serial_cells(model, X, d_pred, exact):
+    """forward_batch predictions and backward_batch gradient arrays of a gru or
+    bigru model, with the cells of every layer scanned one after the other on
+    the calling thread through the library's scan kernels."""
     mm = rnn._matmul_exact if exact else np.matmul
     seq = np.ascontiguousarray(X.transpose(1, 0, 2))
     caches = []
     for layer in model.layers:
-        out_f, cache_f = rnn._gru_scan(layer.forward, seq, mm)
-        out_b, cache_b = rnn._gru_scan(layer.backward, seq, mm, reverse=True)
-        caches.append((cache_f, cache_b))
-        seq = out_f + out_b
+        scans = [rnn._gru_scan(p, seq, mm, reverse=k == 1)
+                 for k, p in enumerate(rnn._cells(layer))]
+        caches.append([cache for _, cache in scans])
+        seq = scans[0][0]
+        for out, _ in scans[1:]:
+            seq = seq + out
     last = seq[-1]
     if exact:
         pred = np.full(X.shape[0], model.b_o[0])
@@ -80,11 +82,13 @@ def serial_bigru(model, X, d_pred, exact):
     d_seq = np.zeros_like(seq)
     d_seq[-1] = d_pred[:, None] * model.w_o[None, :]
     grads = []
-    for layer, (cache_f, cache_b) in zip(reversed(model.layers), reversed(caches)):
-        g_f, d_seq_f = rnn._gru_scan_backward(layer.forward, cache_f, d_seq, np.matmul)
-        g_b, d_seq_b = rnn._gru_scan_backward(layer.backward, cache_b, d_seq, np.matmul)
-        grads = [a for _, a in g_f.param_items() + g_b.param_items()] + grads
-        d_seq = d_seq_f + d_seq_b
+    for layer, layer_caches in zip(reversed(model.layers), reversed(caches)):
+        back = [rnn._gru_scan_backward(p, cache, d_seq)
+                for p, cache in zip(rnn._cells(layer), layer_caches)]
+        grads = [a for g, _ in back for _, a in g.param_items()] + grads
+        d_seq = back[0][1]
+        for _, d in back[1:]:
+            d_seq = d_seq + d
     grads += [last.T @ d_pred, np.array([d_pred.sum()])]
     return pred, grads
 

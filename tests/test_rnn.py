@@ -11,7 +11,7 @@ from oracles import (
     hand_cell,
     random_config_check,
     scalar_trace,
-    serial_bigru,
+    serial_cells,
 )
 from pue_forecast import rnn
 from pue_forecast.rnn import (
@@ -235,6 +235,7 @@ class TestModelForward:
 class TestThreadedDirections:
     @settings(deadline=None, max_examples=30)
     @given(
+        mode=st.sampled_from(["gru", "bigru"]),
         layers=st.integers(1, 3),
         hidden=st.integers(1, 64),
         n_features=st.integers(1, 9),
@@ -244,16 +245,16 @@ class TestThreadedDirections:
         min_block=st.sampled_from([0, rnn._THREAD_MIN_BLOCK]),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_equals_serial_directions_bitwise(self, layers, hidden, n_features,
+    def test_equals_serial_directions_bitwise(self, mode, layers, hidden, n_features,
                                               length, batch, exact, min_block, seed):
-        """Predictions and every gradient equal the two directions scanned one
-        after the other on the calling thread, whether the reverse direction
-        ran on a second thread (min_block 0) or not."""
-        model = init_params(n_features, hidden, layers, "bigru", seed=seed)
+        """Predictions and every gradient equal the cells of each layer scanned
+        one after the other on the calling thread, whether a bigru layer's
+        reverse direction ran on a second thread (min_block 0) or not."""
+        model = init_params(n_features, hidden, layers, mode, seed=seed)
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((batch, length, n_features))
         d_pred = rng.standard_normal(batch)
-        want_pred, want_grads = serial_bigru(model, X, d_pred, exact)
+        want_pred, want_grads = serial_cells(model, X, d_pred, exact)
         with mock.patch.object(rnn, "_THREAD_MIN_BLOCK", min_block):
             pred, cache = forward_batch(model, X, exact=exact)
             grads = backward_batch(model, cache, d_pred).param_arrays()

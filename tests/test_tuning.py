@@ -19,7 +19,7 @@ from pue_forecast.dataset import (
     split_chronological,
     window,
 )
-from pue_forecast.rnn import init_params
+from pue_forecast.rnn import forward_batch, init_params
 from pue_forecast.tuning import (
     Checkpoint,
     TrainConfig,
@@ -147,6 +147,18 @@ class TestTrain:
         assert ckpt.best_loss == min(hist.train_loss)
         assert "mse" in ckpt.metrics
 
+    def test_train_loss_checkpoint_keeps_the_scored_params(self):
+        """The parameters kept under checkpoint_on_train_loss are the ones whose
+        fast-path training MSE was recorded as best_loss, not one step newer."""
+        ws_tr, ws_te, _, _ = make_windowed(n=100, seed=6)
+        cfg = TrainConfig(layers=1, hidden_dim=3, learning_rate=0.02,
+                          max_epochs=40, eval_every=20, mode="gru", seed=6,
+                          window=4, checkpoint_on_train_loss=True)
+        ckpt, _ = train(ws_tr, ws_te, cfg)
+        pred, _ = forward_batch(ckpt.to_model(), ws_tr.windows, exact=False)
+        err = pred - ws_tr.targets
+        assert float(np.mean(err * err)) == ckpt.best_loss
+
     def test_divergence_detection(self):
         w = np.zeros((2, 3, 2))
         bad = WindowedSet(w, np.array([np.inf, 1.0]), 3)
@@ -236,6 +248,34 @@ class TestCheckpointPersistence:
                 path.write_text(json.dumps(bad))
                 with pytest.raises(ValueError, match=re.escape(f"{path}: field '{field}'")):
                     Checkpoint.load(path)
+
+    def test_inconsistent_fields_fail_at_load(self, tmp_path):
+        """Fields of the wrong type, or that disagree with n_features or with
+        the config, fail at load naming the file and the field, not at predict."""
+        ws_tr, ws_te, norm, ds = make_windowed()
+        cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.02,
+                          max_epochs=10, eval_every=10, mode="gru", seed=0, window=4)
+        ckpt, _ = train(ws_tr, ws_te, cfg, feature_names=list(ds.feature_names),
+                        normalization=norm)
+        good = tmp_path / "good.json"
+        ckpt.save(good)
+        doc = json.loads(good.read_text())
+        norm_doc = doc["normalization"]
+        cases = [
+            ("n_features", dict(doc, n_features="3")),
+            ("normalization.feature_min", dict(doc, normalization=dict(
+                norm_doc, feature_min=norm_doc["feature_min"][:2]))),
+            ("metrics", dict(doc, metrics=None)),
+            ("best_epoch", dict(doc, best_epoch="x")),
+            ("best_loss", dict(doc, best_loss=None)),
+            # the same arrays in another order: the payload size still matches
+            ("shapes", dict(doc, shapes=doc["shapes"][::-1])),
+        ]
+        for i, (field, bad) in enumerate(cases):
+            path = tmp_path / f"bad_{i}.json"
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ValueError, match=re.escape(f"{path}: field '{field}'")):
+                Checkpoint.load(path)
 
 
 class TestGridSearch:
@@ -410,7 +450,6 @@ def test_checkpoint_roundtrip_is_bitwise(mode, layers, hidden, n_features, norma
         config=TrainConfig(layers=layers, hidden_dim=hidden, learning_rate=0.01,
                            mode=mode, seed=seed, window=3),
         n_features=n_features,
-        shapes=[(n, a.shape) for n, a in model.param_items()],
         params=params,
         best_epoch=int(rng.integers(1, 4000)),
         best_loss=float(rng.uniform()),
