@@ -24,6 +24,12 @@ direction reaches the caller. One-cell layers, and small batches, run on the
 caller's thread, where handing the GIL back and forth between small numpy calls
 costs more than the overlap saves.
 
+The caller's thread allocates every buffer a scan or its backward pass fills
+(_scan_buffers, _backward_buffers) before the second thread starts. glibc gives
+each thread a malloc arena, and a new thread that starts before the last one
+has handed its arena back gets a fresh one; arrays allocated there would leave
+tens of MB resident in each arena, so peak memory would vary from run to run.
+
 One scan serves every entry point; a cell step is a one-step scan. It carries
 sequences time-major ([W, B, features]) and caches r, z, cand gate-major
 ([3, W, B, H]), so each step works in place on contiguous [B, H] blocks and each
@@ -266,24 +272,29 @@ class ModelCache:
     last_hidden: np.ndarray  # [B, H] final layer, last step
 
 
+def _scan_buffers(seq: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
+    """Uninitialised gates, states, r * h and step scratch for a scan of seq [W, B, I]."""
+    W, B, _ = seq.shape
+    return (np.empty((3, W, B, hidden)), np.empty((W + 1, B, hidden)),
+            np.empty((W, B, hidden)), np.empty((2, B, hidden)))
+
+
 def _gru_scan(
     p: GruParams, seq: np.ndarray, mm: MatMul, reverse: bool = False,
-    h0: np.ndarray | None = None,
+    h0: np.ndarray | None = None, buffers: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, ScanCache]:
-    """Scan [W, B, I] (right to left if reverse) from h0 [B, H], default zeros."""
+    """Scan [W, B, I] (right to left if reverse) from h0 [B, H], default zeros,
+    into `buffers` from _scan_buffers, default new ones."""
     W, B, I = seq.shape
     H = p.hidden_dim
-    gates = np.empty((3, W, B, H))
+    gates, states, rh, buf = buffers or _scan_buffers(seq, H)
     mm(seq.reshape(W * B, I), np.stack([p.U_r.T, p.U_z.T, p.U_h.T]),
        gates.reshape(3, W * B, H))
     gates += np.stack([p.b_r, p.b_z, p.b_h])[:, None, None, :]
     W_rz = np.stack([p.W_r.T, p.W_z.T])
     W_h = np.ascontiguousarray(p.W_h.T)
     rev = int(reverse)
-    states = np.empty((W + 1, B, H))
     states[W * rev] = 0.0 if h0 is None else h0
-    rh = np.empty((W, B, H))
-    buf = np.empty((2, B, H))
     for t in reversed(range(W)) if reverse else range(W):
         h, h_new = states[t + rev], states[t + 1 - rev]
         r, z, cand = gates[:, t]
@@ -299,17 +310,25 @@ def _gru_scan(
     return states[1 - rev : 1 - rev + W], ScanCache(seq, gates, states, rh, reverse)
 
 
+def _backward_buffers(cache: ScanCache) -> tuple[np.ndarray, ...]:
+    """Zeroed state grad, step scratch, input grad and product scratch for
+    backprop through the scan that filled `cache`."""
+    (W, B, I), H = cache.seq.shape, cache.rh.shape[2]
+    return np.zeros((B, H)), np.empty((2, B, H)), np.empty((W * B, I)), np.empty((W * B, I))
+
+
 def _gru_scan_backward(
-    p: GruParams, cache: ScanCache, d_out: np.ndarray
+    p: GruParams, cache: ScanCache, d_out: np.ndarray,
+    buffers: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[GruParams, np.ndarray]:
     """Backprop one scan; returns (parameter grads as a GruParams, d_input_seq).
 
-    Writes the gate pre-activation grads over cache.gates, so a cache serves
-    one backward pass."""
+    Works in `buffers` from _backward_buffers, default new ones. Writes the
+    gate pre-activation grads over cache.gates, so a cache serves one backward
+    pass."""
     W, B, H = d_out.shape
     g, rev = cache.gates, int(cache.reverse)
-    dh = np.zeros((B, H))
-    t1, t2 = np.empty((2, B, H))
+    dh, (t1, t2), d_seq, d_more = buffers or _backward_buffers(cache)
     for t in range(W) if cache.reverse else reversed(range(W)):
         dh += d_out[t]
         r, z, cand = g[:, t]
@@ -340,9 +359,9 @@ def _gru_scan_backward(
     d_U = np.matmul(da_t, cache.seq.reshape(n, -1))
     d_W = np.matmul(da_t[:2], cache.states[rev : rev + W].reshape(n, H))
     d_W_h = da_t[2] @ cache.rh.reshape(n, H)
-    d_seq = da[0] @ p.U_r
-    d_seq += da[1] @ p.U_z
-    d_seq += da[2] @ p.U_h
+    np.matmul(da[0], p.U_r, d_seq)
+    d_seq += np.matmul(da[1], p.U_z, d_more)
+    d_seq += np.matmul(da[2], p.U_h, d_more)
     return GruParams(*d_W, d_W_h, *d_U, *da.sum(axis=1)), d_seq.reshape(W, B, -1)
 
 
@@ -366,7 +385,8 @@ def _layer_forward(
 ) -> tuple[np.ndarray, list[ScanCache]]:
     """Scan every cell of a layer over [W, B, I] and sum their outputs in cell order."""
     scans = _each_direction(
-        [partial(_gru_scan, p, seq, mm, reverse=k == 1) for k, p in enumerate(_cells(layer))],
+        [partial(_gru_scan, p, seq, mm, reverse=k == 1, buffers=_scan_buffers(seq, p.hidden_dim))
+         for k, p in enumerate(_cells(layer))],
         seq.shape[1] * layer.hidden_dim,
     )
     out = scans[0][0]
@@ -436,7 +456,8 @@ def backward_batch(
     d_seq[-1] = d_pred[:, None] * model.w_o[None, :]
     for layer, scans in zip(reversed(model.layers), reversed(cache.layers)):
         grads = _each_direction(
-            [partial(_gru_scan_backward, p, c, d_seq) for p, c in zip(_cells(layer), scans)],
+            [partial(_gru_scan_backward, p, c, d_seq, _backward_buffers(c))
+             for p, c in zip(_cells(layer), scans)],
             d_seq.shape[1] * layer.hidden_dim,
         )
         grad_layers.append(_layer([g for g, _ in grads]))

@@ -293,6 +293,23 @@ class TestThreadedDirections:
         assert threading.active_count() == before
         assert reverse_threads and threading.get_ident() not in reverse_threads
 
+    def test_buffers_allocated_on_calling_thread(self, monkeypatch):
+        """Every cell's forward and backward buffers come from the calling thread,
+        also when the reverse direction runs on a second one."""
+        monkeypatch.setattr(rnn, "_THREAD_MIN_BLOCK", 0)
+        calls = []
+        for name in ("_scan_buffers", "_backward_buffers"):
+            def record(*args, _real=getattr(rnn, name), _name=name):
+                calls.append((_name, threading.get_ident()))
+                return _real(*args)
+            monkeypatch.setattr(rnn, name, record)
+        model = init_params(3, 4, 2, "bigru", seed=7)
+        X = np.random.default_rng(8).standard_normal((5, 4, 3))
+        _, cache = forward_batch(model, X, exact=False)
+        backward_batch(model, cache, np.ones(5))
+        assert sorted(n for n, _ in calls) == ["_backward_buffers"] * 4 + ["_scan_buffers"] * 4
+        assert {t for _, t in calls} == {threading.get_ident()}
+
 
 class TestModelBackward:
     def test_zero_upstream_gradient(self):
