@@ -83,44 +83,20 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _write_manifest(
-    path: Path,
-    command: str,
-    args: argparse.Namespace,
-    seeds: list[int],
-    inputs: list[str],
-    outputs: list[str],
-    started: float,
-) -> None:
-    flags = {k: v for k, v in vars(args).items() if k != "func"}
-    doc = {
-        "command": command,
-        "toolkit_version": __version__,
-        "flags": flags,
-        "seeds": seeds,
-        "inputs": inputs,
-        "outputs": outputs,
-        "duration_seconds": time.monotonic() - started,
-    }
-    path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
+Manifest = tuple[Path, list[str], list[str]]  # (manifest path, inputs, outputs)
 
 
-def cmd_generate(args: argparse.Namespace) -> None:
-    started = time.monotonic()
+def cmd_generate(args: argparse.Namespace) -> Manifest:
     ds = generate_synthetic(args.samples, args.informative, args.noise, args.seed)
     out = Path(args.output)
     if out.parent and not out.parent.exists():
         out.parent.mkdir(parents=True)
     write_csv(ds, out)
     log.info("wrote %d samples x %d features to %s", ds.n_samples, ds.n_features, out)
-    _write_manifest(
-        Path(str(out) + ".manifest.json"), "generate", args,
-        seeds=[args.seed], inputs=[], outputs=[str(out)], started=started,
-    )
+    return Path(str(out) + ".manifest.json"), [], [str(out)]
 
 
-def cmd_select_features(args: argparse.Namespace) -> None:
-    started = time.monotonic()
+def cmd_select_features(args: argparse.Namespace) -> Manifest:
     ds = load_csv(args.input)
     train_ds, _test_ds = split_chronological(ds, args.split)
     norm = fit_normalizer(ds if args.fit_on_all else train_ds)
@@ -143,15 +119,10 @@ def cmd_select_features(args: argparse.Namespace) -> None:
     write_results_json(results, sets_path)
     write_mse_curve_csv(results, curve_path)
     log.info("kept %d feature sets in %s", len(results), sets_path)
-    _write_manifest(
-        outdir / "manifest.json", "select-features", args,
-        seeds=[args.seed], inputs=[args.input],
-        outputs=[str(sets_path), str(curve_path)], started=started,
-    )
+    return outdir / "manifest.json", [args.input], [str(sets_path), str(curve_path)]
 
 
-def cmd_tune(args: argparse.Namespace) -> None:
-    started = time.monotonic()
+def cmd_tune(args: argparse.Namespace) -> Manifest:
     ds = load_csv(args.input)
     if args.features:
         feature_sets = load_feature_sets(args.features)
@@ -194,16 +165,11 @@ def cmd_tune(args: argparse.Namespace) -> None:
         )
     if n_failed:
         log.warning("%d of %d configs failed", n_failed, len(report.records))
-    _write_manifest(
-        outdir / "manifest.json", "tune", args,
-        seeds=[args.seed],
-        inputs=[args.input] + ([args.features] if args.features else []),
-        outputs=outputs, started=started,
-    )
+    inputs = [args.input] + ([args.features] if args.features else [])
+    return outdir / "manifest.json", inputs, outputs
 
 
-def cmd_predict(args: argparse.Namespace) -> None:
-    started = time.monotonic()
+def cmd_predict(args: argparse.Namespace) -> Manifest:
     ckpt = Checkpoint.load(args.checkpoint)
     if ckpt.feature_names is None or ckpt.normalization is None:
         raise ValueError(
@@ -231,11 +197,7 @@ def cmd_predict(args: argparse.Namespace) -> None:
     header = [TIMESTAMP_COLUMN, f"predicted_{TARGET_COLUMN}"]
     write_rows(out, header, zip(nds.timestamps[W - 1 :], preds.tolist()))
     log.info("wrote %d predictions to %s", ws.n_windows, out)
-    _write_manifest(
-        Path(str(out) + ".manifest.json"), "predict", args,
-        seeds=[], inputs=[args.checkpoint, args.input],
-        outputs=[str(out)], started=started,
-    )
+    return Path(str(out) + ".manifest.json"), [args.checkpoint, args.input], [str(out)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=_positive_int, default=1)
     p.add_argument("--folds", type=_positive_int, default=5)
     p.add_argument("--split", type=_fraction, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the manifest; selection is deterministic and "
+                   "does not use it")
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--fit-on-all", action="store_true",
                    help="fit the normalizer on all rows instead of the training split")
@@ -312,11 +276,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, then write its manifest; a failed command writes none."""
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        args.func(args)
+        path, inputs, outputs = args.func(args)
+        doc = {
+            "command": args.command,
+            "toolkit_version": __version__,
+            "flags": {k: v for k, v in vars(args).items() if k != "func"},
+            "seeds": [args.seed] if hasattr(args, "seed") else [],
+            "inputs": inputs,
+            "outputs": outputs,
+            "duration_seconds": time.monotonic() - started,
+        }
+        path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
     except Exception as exc:
         print(f"pue-forecast {args.command}: error: {exc}", file=sys.stderr)
         return 1

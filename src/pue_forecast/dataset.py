@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -109,10 +110,20 @@ class NormalizationParams:
     target_max: float
 
     def __post_init__(self):
-        object.__setattr__(self, "feature_min", _frozen(self.feature_min).reshape(-1))
-        object.__setattr__(self, "feature_max", _frozen(self.feature_max).reshape(-1))
+        for name in ("feature_min", "feature_max"):
+            values = np.asarray(getattr(self, name))
+            if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+                raise ValueError(f"{name} must hold only finite numbers")
+            object.__setattr__(self, name, _frozen(values).reshape(-1))
+        for name in ("target_min", "target_max"):
+            if not is_finite_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if np.any(self.feature_min > self.feature_max):
             raise ValueError("feature_min exceeds feature_max")
+
+    def to_json(self) -> dict:
+        """The fields as a JSON object, arrays as lists; the constructor reads it back."""
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
 
     @property
     def constant_features(self) -> np.ndarray:
@@ -251,6 +262,11 @@ def read_json(path: str | Path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
+def is_finite_number(value) -> bool:
+    """True for a finite int or float, numpy scalars included; False for a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def require_fields(

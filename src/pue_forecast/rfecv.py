@@ -23,7 +23,7 @@ import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from multiprocessing import get_context
 from pathlib import Path
@@ -278,12 +278,7 @@ def rfecv_grid(
 def results_to_json(results: list[RfecvResult]) -> list[dict]:
     return [
         {
-            "config": {
-                "learning_rate": r.estimator_config.learning_rate,
-                "n_estimators": r.estimator_config.n_estimators,
-                "max_depth": r.estimator_config.max_depth,
-                "reg_lambda": r.estimator_config.reg_lambda,
-            },
+            "config": asdict(r.estimator_config),
             "best_count": r.best_count,
             "cv_mse": r.best_mse,
             "selected_features": list(r.selected_features),

@@ -252,7 +252,8 @@ def gru_cell(
             f"expected h_prev[{p.hidden_dim}], x_t[{p.input_dim}]; "
             f"got {h_prev.shape[0]}, {x_t.shape[0]}"
         )
-    out, cache = _gru_scan(p, x_t[None, None], _matmul_exact, h0=h_prev[None])
+    seq = x_t[None, None]
+    out, cache = _gru_scan(p, seq, _matmul_exact, _scan_buffers(seq, p.hidden_dim), h0=h_prev[None])
     r, z, cand = cache.gates[:, 0, 0]
     return out[0, 0], CellCache(r=r, z=z, cand=cand, h_prev=h_prev, x=x_t)
 
@@ -280,14 +281,14 @@ def _scan_buffers(seq: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
 
 
 def _gru_scan(
-    p: GruParams, seq: np.ndarray, mm: MatMul, reverse: bool = False,
-    h0: np.ndarray | None = None, buffers: tuple[np.ndarray, ...] | None = None,
+    p: GruParams, seq: np.ndarray, mm: MatMul, buffers: tuple[np.ndarray, ...],
+    reverse: bool = False, h0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ScanCache]:
     """Scan [W, B, I] (right to left if reverse) from h0 [B, H], default zeros,
-    into `buffers` from _scan_buffers, default new ones."""
+    into `buffers` from _scan_buffers."""
     W, B, I = seq.shape
     H = p.hidden_dim
-    gates, states, rh, buf = buffers or _scan_buffers(seq, H)
+    gates, states, rh, buf = buffers
     mm(seq.reshape(W * B, I), np.stack([p.U_r.T, p.U_z.T, p.U_h.T]),
        gates.reshape(3, W * B, H))
     gates += np.stack([p.b_r, p.b_z, p.b_h])[:, None, None, :]
@@ -318,17 +319,15 @@ def _backward_buffers(cache: ScanCache) -> tuple[np.ndarray, ...]:
 
 
 def _gru_scan_backward(
-    p: GruParams, cache: ScanCache, d_out: np.ndarray,
-    buffers: tuple[np.ndarray, ...] | None = None,
+    p: GruParams, cache: ScanCache, d_out: np.ndarray, buffers: tuple[np.ndarray, ...],
 ) -> tuple[GruParams, np.ndarray]:
     """Backprop one scan; returns (parameter grads as a GruParams, d_input_seq).
 
-    Works in `buffers` from _backward_buffers, default new ones. Writes the
-    gate pre-activation grads over cache.gates, so a cache serves one backward
-    pass."""
+    Works in `buffers` from _backward_buffers. Writes the gate pre-activation
+    grads over cache.gates, so a cache serves one backward pass."""
     W, B, H = d_out.shape
     g, rev = cache.gates, int(cache.reverse)
-    dh, (t1, t2), d_seq, d_more = buffers or _backward_buffers(cache)
+    dh, (t1, t2), d_seq, d_more = buffers
     for t in range(W) if cache.reverse else reversed(range(W)):
         dh += d_out[t]
         r, z, cand = g[:, t]
@@ -385,7 +384,7 @@ def _layer_forward(
 ) -> tuple[np.ndarray, list[ScanCache]]:
     """Scan every cell of a layer over [W, B, I] and sum their outputs in cell order."""
     scans = _each_direction(
-        [partial(_gru_scan, p, seq, mm, reverse=k == 1, buffers=_scan_buffers(seq, p.hidden_dim))
+        [partial(_gru_scan, p, seq, mm, _scan_buffers(seq, p.hidden_dim), reverse=k == 1)
          for k, p in enumerate(_cells(layer))],
         seq.shape[1] * layer.hidden_dim,
     )

@@ -25,6 +25,7 @@ from .dataset import (
     NormalizationParams,
     WindowedSet,
     fit_normalizer,
+    is_finite_number,
     normalize,
     read_json,
     require_fields,
@@ -190,15 +191,7 @@ class Checkpoint:
             "best_loss": self.best_loss,
             "metrics": self.metrics,
             "feature_names": self.feature_names,
-            "normalization": None
-            if self.normalization is None
-            else {
-                "feature_names": list(self.normalization.feature_names),
-                "feature_min": self.normalization.feature_min.tolist(),
-                "feature_max": self.normalization.feature_max.tolist(),
-                "target_min": self.normalization.target_min,
-                "target_max": self.normalization.target_max,
-            },
+            "normalization": None if self.normalization is None else self.normalization.to_json(),
         }
         Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
 
@@ -212,21 +205,21 @@ class Checkpoint:
             raise ValueError(
                 f"{path}: unsupported checkpoint format version {doc['format_version']!r}"
             )
-        norm = doc["normalization"]
+        norm, metrics = doc["normalization"], doc["metrics"]
         if norm is not None:
             require_fields(path, norm, _NORMALIZATION_FIELDS, "normalization")
-        require_fields(path, doc["metrics"], ("mse", "mae", "r2"), "field 'metrics'")
-        try:
-            config = TrainConfig(**doc["config"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: field 'config': {exc}") from None
+        require_fields(path, metrics, ("mse", "mae", "r2"), "field 'metrics'")
+        config = _construct(path, "config", TrainConfig, doc["config"])
         n_features, epoch, loss = doc["n_features"], doc["best_epoch"], doc["best_loss"]
+        mse, mae, r2 = metrics["mse"], metrics["mae"], metrics["r2"]
         checks = [
             ("n_features", n_features, type(n_features) is int and n_features > 0,
              "a positive int"),
             ("best_epoch", epoch, type(epoch) is int, "an int"),
-            ("best_loss", loss, type(loss) in (int, float) and math.isfinite(loss),
-             "a finite number"),
+            ("best_loss", loss, is_finite_number(loss), "a finite number"),
+            ("metrics.mse", mse, is_finite_number(mse), "a finite number"),
+            ("metrics.mae", mae, is_finite_number(mae), "a finite number"),
+            ("metrics.r2", r2, r2 is None or is_finite_number(r2), "a finite number or null"),
         ]
         names = doc["feature_names"]
         lists = [] if names is None else [("feature_names", names)]
@@ -264,24 +257,27 @@ class Checkpoint:
         params = np.frombuffer(payload, dtype="<f8").astype(np.float64)
         if not np.isfinite(params).all():
             raise ValueError(f"{path}: field 'params_b64' contains non-finite values")
+        normalization = None if norm is None else _construct(
+            path, "normalization", NormalizationParams, {f: norm[f] for f in _NORMALIZATION_FIELDS})
         return Checkpoint(
             config=config,
             n_features=n_features,
             params=params,
             best_epoch=epoch,
             best_loss=loss,
-            metrics=doc["metrics"],
+            metrics=metrics,
             feature_names=names,
-            normalization=None
-            if norm is None
-            else NormalizationParams(
-                feature_names=list(norm["feature_names"]),
-                feature_min=np.asarray(norm["feature_min"]),
-                feature_max=np.asarray(norm["feature_max"]),
-                target_min=norm["target_min"],
-                target_max=norm["target_max"],
-            ),
+            normalization=normalization,
         )
+
+
+def _construct(path: str | Path, field: str, cls: type, fields: dict):
+    """cls(**fields) for a field of the checkpoint at `path`; a bad value raises
+    ValueError naming the file and the field."""
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: field {field!r}: {exc}") from None
 
 
 def _skeleton(config: TrainConfig, n_features: int) -> Model:
@@ -402,19 +398,15 @@ class TuneRecord:
 
     feature_set_index: int
     feature_set_label: str
-    feature_names: list[str]
     n_features: int
-    mode: str
     layers: int
     hidden_dim: int
     learning_rate: float
-    window: int
-    seed: int
     n_params: int
-    best_epoch: int | None
-    mse: float | None
-    mae: float | None
-    r2: float | None
+    best_epoch: int | None = None
+    mse: float | None = None
+    mae: float | None = None
+    r2: float | None = None
     failed: bool = False
     error: str | None = None
 
@@ -481,23 +473,14 @@ class _Job:
 def _run_job(job: _Job) -> tuple[TuneRecord, Checkpoint | None]:
     cfg = job.cfg
     n_feat = len(job.feature_names)
-    n_params = _skeleton(cfg, n_feat).n_params()
     rec = TuneRecord(
         feature_set_index=job.si,
         feature_set_label=job.label,
-        feature_names=job.feature_names,
         n_features=n_feat,
-        mode=cfg.mode,
         layers=cfg.layers,
         hidden_dim=cfg.hidden_dim,
         learning_rate=cfg.learning_rate,
-        window=cfg.window,
-        seed=cfg.seed,
-        n_params=n_params,
-        best_epoch=None,
-        mse=None,
-        mae=None,
-        r2=None,
+        n_params=_skeleton(cfg, n_feat).n_params(),
     )
     try:
         ckpt, _history = train(

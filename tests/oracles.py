@@ -65,7 +65,8 @@ def serial_cells(model, X, d_pred, exact):
     seq = np.ascontiguousarray(X.transpose(1, 0, 2))
     caches = []
     for layer in model.layers:
-        scans = [rnn._gru_scan(p, seq, mm, reverse=k == 1)
+        scans = [rnn._gru_scan(p, seq, mm, rnn._scan_buffers(seq, p.hidden_dim),
+                               reverse=k == 1)
                  for k, p in enumerate(rnn._cells(layer))]
         caches.append([cache for _, cache in scans])
         seq = scans[0][0]
@@ -83,7 +84,7 @@ def serial_cells(model, X, d_pred, exact):
     d_seq[-1] = d_pred[:, None] * model.w_o[None, :]
     grads = []
     for layer, layer_caches in zip(reversed(model.layers), reversed(caches)):
-        back = [rnn._gru_scan_backward(p, cache, d_seq)
+        back = [rnn._gru_scan_backward(p, cache, d_seq, rnn._backward_buffers(cache))
                 for p, cache in zip(rnn._cells(layer), layer_caches)]
         grads = [a for g, _ in back for _, a in g.param_items()] + grads
         d_seq = back[0][1]
@@ -186,9 +187,9 @@ def walk_predict(model, X):
     return out
 
 
-def best_stump(X, y):
-    """Exhaustive (feature, midpoint) stump search minimizing SSE."""
-    best = (np.inf, None, None)
+def stump_sses(X, y):
+    """(SSE, feature, midpoint) of every stump split, by feature, then threshold."""
+    out = []
     for c in range(X.shape[1]):
         vals = np.unique(X[:, c])
         for a, b in zip(vals, vals[1:]):
@@ -197,9 +198,14 @@ def best_stump(X, y):
             sse = np.sum((y[m] - y[m].mean()) ** 2) + np.sum(
                 (y[~m] - y[~m].mean()) ** 2
             )
-            if sse < best[0]:
-                best = (sse, c, thr)
-    return best
+            out.append((sse, c, thr))
+    return out
+
+
+def best_stump(X, y):
+    """Exhaustive (feature, midpoint) stump search minimizing SSE; the first
+    split in stump_sses order wins a tie."""
+    return min(stump_sses(X, y), key=lambda s: s[0], default=(np.inf, None, None))
 
 
 def replay_residuals(model, X, y):

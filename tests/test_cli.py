@@ -287,6 +287,51 @@ class TestPredict:
         assert "window" in capsys.readouterr().err
 
 
+class TestManifests:
+    def test_every_command_records_what_it_read_and_wrote(self, tmp_path):
+        """generate -> select-features -> tune -> predict: each manifest names
+        its command, its seed, the files it read and exactly the files it wrote."""
+        data, sel, tune = tmp_path / "data.csv", tmp_path / "sel", tmp_path / "tune"
+        preds = tmp_path / "preds.csv"
+        sets = sel / "feature_sets.json"
+
+        def run(manifest, *argv):
+            before = set(tmp_path.rglob("*"))
+            assert run_cli(*argv) == 0
+            wrote = {p for p in tmp_path.rglob("*") if p.is_file()} - before - {manifest}
+            doc = json.loads(manifest.read_text())
+            assert doc["command"] == argv[0]
+            assert sorted(doc["outputs"]) == sorted(str(p) for p in wrote)
+            return doc
+
+        doc = run(tmp_path / "data.csv.manifest.json", "generate", "--samples", "120",
+                  "--informative", "3", "--noise", "2", "--seed", "5", "-o", str(data))
+        assert (doc["seeds"], doc["inputs"]) == ([5], [])
+        doc = run(sel / "manifest.json", "select-features", "-i", str(data), "-o", str(sel),
+                  "--lr", "0.3", "0.1", "--trees", "10", "--depth", "2", "--folds", "3",
+                  "--seed", "6")
+        assert (doc["seeds"], doc["inputs"]) == ([6], [str(data)])
+        doc = run(tune / "manifest.json", "tune", "-i", str(data), "-f", str(sets),
+                  "-o", str(tune), "--mode", "gru", "--layers", "1", "--hidden", "2",
+                  "--lr", "0.02", "--window", "3", "--max-epochs", "4",
+                  "--eval-every", "2", "--seed", "7")
+        assert (doc["seeds"], doc["inputs"]) == ([7], [str(data), str(sets)])
+        ckpt = str(sorted(tune.glob("checkpoint_*.json"))[0])
+        doc = run(tmp_path / "preds.csv.manifest.json", "predict", "-c", ckpt,
+                  "-i", str(data), "-o", str(preds))
+        assert (doc["seeds"], doc["inputs"]) == ([], [ckpt, str(data)])
+
+    def test_failed_command_writes_no_manifest(self, small_csv, tmp_path):
+        outdir = tmp_path / "tune"
+        assert run_cli(
+            "tune", "-i", str(small_csv), "-o", str(outdir), "--mode", "gru",
+            "--layers", "1", "--hidden", "2", "--lr", "1e300", "--window", "3",
+            "--max-epochs", "4", "--eval-every", "2",
+        ) == 1
+        assert (outdir / "tune_records.csv").exists()
+        assert not (outdir / "manifest.json").exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "d.csv"

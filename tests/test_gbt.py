@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import best_stump, model_dump, replay_residuals, tree_depth, walk_predict
+from oracles import (
+    best_stump,
+    leaf_closed_form_worst_err,
+    model_dump,
+    replay_residuals,
+    stump_sses,
+    tree_depth,
+    walk_predict,
+)
 from pue_forecast import gbt
 from pue_forecast.gbt import (
     GbtModel,
@@ -255,6 +263,51 @@ def _random_xy(rng, sizes, n_features, levels):
     else:
         X = rng.normal(size=(n, n_features))
     return X, rng.normal(size=n)
+
+
+class TestAgainstOracles:
+    """Fits on random data against the exhaustive stump search and the
+    closed-form leaf values of tests/oracles.py."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(2, 60),
+        n_features=st.integers(1, 4),
+        levels=st.sampled_from([0, 2, 3]),  # 0: continuous; k: k distinct values (ties)
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_root_split_is_the_best_stump(self, n, n_features, levels, seed):
+        X, y = _random_xy(np.random.default_rng(seed), [n], n_features, levels)
+        tree = gbt_fit(X, y, n_estimators=1, learning_rate=1.0, max_depth=1,
+                       reg_lambda=0.0).trees[0]
+        splits = sorted(stump_sses(X, y), key=lambda s: s[0])
+        total = float(np.sum((y - y.mean()) ** 2))
+        if tree.feature[0] < 0:  # no split: none lowers the SSE
+            assert all(sse >= total * (1 - 1e-9) for sse, _, _ in splits)
+            return
+        c, thr = int(tree.feature[0]), float(tree.threshold[0])
+        got = next(sse for sse, f, t in splits if (f, t) == (c, thr))
+        assert got == pytest.approx(splits[0][0], rel=1e-9, abs=1e-12 * total)
+        if len(splits) == 1 or splits[1][0] > splits[0][0] + 1e-6 * total:
+            assert (c, thr) == splits[0][1:]
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n=st.integers(2, 80),
+        n_features=st.integers(1, 4),
+        levels=st.sampled_from([0, 2, 3]),
+        max_depth=st.integers(1, 5),
+        n_estimators=st.integers(1, 6),
+        learning_rate=st.sampled_from([0.1, 0.5, 1.0]),
+        reg_lambda=st.sampled_from([0.0, 0.5, 1.0, 10.0]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_leaf_values_are_closed_form(self, n, n_features, levels, max_depth,
+                                         n_estimators, learning_rate, reg_lambda, seed):
+        X, y = _random_xy(np.random.default_rng(seed), [n], n_features, levels)
+        m = gbt_fit(X, y, n_estimators=n_estimators, learning_rate=learning_rate,
+                    max_depth=max_depth, reg_lambda=reg_lambda)
+        assert leaf_closed_form_worst_err(m, X, y) <= 1e-12 * (1 + np.abs(y).max())
 
 
 class TestMultiRoot:

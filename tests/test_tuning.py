@@ -249,6 +249,19 @@ class TestCheckpointPersistence:
                 with pytest.raises(ValueError, match=re.escape(f"{path}: field '{field}'")):
                     Checkpoint.load(path)
 
+    def test_extra_normalization_key_is_ignored(self, tmp_path):
+        ws_tr, ws_te, norm, ds = make_windowed()
+        cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.02,
+                          max_epochs=10, eval_every=10, mode="gru", seed=0, window=4)
+        ckpt, _ = train(ws_tr, ws_te, cfg, feature_names=list(ds.feature_names),
+                        normalization=norm)
+        path = tmp_path / "ckpt.json"
+        ckpt.save(path)
+        doc = json.loads(path.read_text())
+        doc["normalization"]["note"] = "fitted on the training split"
+        path.write_text(json.dumps(doc))
+        assert Checkpoint.load(path).normalization.to_json() == norm.to_json()
+
     def test_inconsistent_fields_fail_at_load(self, tmp_path):
         """Fields of the wrong type, or that disagree with n_features or with
         the config, fail at load naming the file and the field, not at predict."""
@@ -270,7 +283,25 @@ class TestCheckpointPersistence:
             ("best_loss", dict(doc, best_loss=None)),
             # the same arrays in another order: the payload size still matches
             ("shapes", dict(doc, shapes=doc["shapes"][::-1])),
+            ("metrics.mse", dict(doc, metrics=dict(doc["metrics"], mse="x"))),
+            ("metrics.mse", dict(doc, metrics=dict(doc["metrics"], mse=float("nan")))),
+            ("metrics.mae", dict(doc, metrics=dict(doc["metrics"], mae=None))),
+            ("metrics.mae", dict(doc, metrics=dict(doc["metrics"], mae=True))),
+            ("metrics.r2", dict(doc, metrics=dict(doc["metrics"], r2="x"))),
+            ("metrics.r2", dict(doc, metrics=dict(doc["metrics"], r2=float("inf")))),
         ]
+        lo, hi = norm_doc["feature_min"], norm_doc["feature_max"]
+        cases += [("normalization", dict(doc, normalization=dict(norm_doc, **bad)))
+                  for bad in (
+                      dict(feature_min=[None] + lo[1:]),
+                      dict(feature_max=hi[:-1] + ["x"]),
+                      dict(feature_max=hi[:-1] + [float("inf")]),
+                      dict(target_min="x"),
+                      dict(target_min=None),
+                      dict(target_min=True),
+                      dict(target_max=float("nan")),
+                      dict(feature_min=[v + 1.0 for v in hi]),
+                  )]
         for i, (field, bad) in enumerate(cases):
             path = tmp_path / f"bad_{i}.json"
             path.write_text(json.dumps(bad))
@@ -400,10 +431,9 @@ class TestGridSearch:
 class TestTuneReportSelection:
     def _rec(self, si, mse, n_params):
         return TuneRecord(
-            feature_set_index=si, feature_set_label=f"set{si}", feature_names=["a"],
-            n_features=1, mode="gru", layers=1, hidden_dim=2, learning_rate=0.1,
-            window=3, seed=0, n_params=n_params, best_epoch=5, mse=mse, mae=0.1,
-            r2=0.5,
+            feature_set_index=si, feature_set_label=f"set{si}", n_features=1,
+            layers=1, hidden_dim=2, learning_rate=0.1, n_params=n_params,
+            best_epoch=5, mse=mse, mae=0.1, r2=0.5,
         )
 
     def test_tie_prefers_fewer_parameters(self):
