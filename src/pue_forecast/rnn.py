@@ -13,22 +13,27 @@ cells' per-step hidden states (elementwise, not concatenation). Stacked layers
 consume the previous layer's full output sequence; the readout is an affine map
 of the final layer's last-step state.
 
-The two cells of a layer share nothing until that sum, so the right-to-left
-scan (and its backward pass) runs on a second thread while the caller's thread
-runs the left-to-right one; numpy releases the GIL inside its ufunc loops and
-BLAS calls, so they overlap. Each cell reads only the shared input and writes
-only its own buffers, and the results are summed in cell order after the join,
-so every output is bitwise equal to running them one after the other. The
-thread lives for one call: nothing outlives it, and an error in the reverse
-direction reaches the caller. One-cell layers, and small batches, run on the
-caller's thread, where handing the GIL back and forth between small numpy calls
-costs more than the overlap saves.
+Training and prediction run a batch in window tiles (TileRunner): near-equal
+slices of the B windows, each small enough that one step's [rows, H] block
+stays in a core's cache. A training tile runs its forward pass, its share of
+the loss gradient and its backward pass before the next tile starts, so the
+backward pass reads caches that are still warm, and memory follows the tile
+size, not B. Tile i runs in slot i % 2: slot 0 on the caller's thread and slot
+1 on a second thread that lives for one call (numpy releases the GIL inside
+its ufunc loops and BLAS calls, so the two overlap). Each slot adds its tiles'
+gradients in tile order and the two sums are added slot 0 first after the
+join; predictions land in their own rows. So every result is bitwise the same
+whichever thread ran a slot and however the two interleaved. A batch of one
+tile runs on the caller's thread, where handing the GIL back and forth between
+small numpy calls would cost more than the overlap saves. The thread is joined
+also when either side raises, and an error in slot 1 reaches the caller.
 
-The caller's thread allocates every buffer a scan or its backward pass fills
-(_scan_buffers, _backward_buffers) before the second thread starts. glibc gives
-each thread a malloc arena, and a new thread that starts before the last one
-has handed its arena back gets a fresh one; arrays allocated there would leave
-tens of MB resident in each arena, so peak memory would vary from run to run.
+Every array a tile fills comes from its slot's Workspace: one block, allocated
+on the caller's thread before the second thread starts and reused by every
+tile of the slot. glibc gives each thread a malloc arena, and a new thread that
+starts before the last one has handed its arena back gets a fresh one; arrays
+allocated there would leave tens of MB resident in each arena, so peak memory
+would vary from run to run.
 
 One scan serves every entry point; a cell step is a one-step scan. It carries
 sequences time-major ([W, B, features]) and caches r, z, cand gate-major
@@ -47,23 +52,24 @@ the batch) backs the training loop, where only run-to-run determinism matters.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
-from typing import Callable, TypeVar
+from typing import Callable, Optional
 
 import numpy as np
 
 MatMul = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-T = TypeVar("T")
+Take = Callable[[tuple], np.ndarray]
+Grads = Optional[list]
 
-# Fewest elements in one step's [B, H] block for which the reverse direction
-# runs on a second thread. Below it, handing the GIL between the threads at
-# every small numpy call costs more than the overlap saves: on 2 cores with one
-# BLAS thread (H 4-50, one layer, training forward plus backward) the threaded
-# layer took 1.3-4.9x the serial time at B*H <= 4096, and the crossover lay
-# between B*H = 8192 and 32768, moving with the machine's load.
-_THREAD_MIN_BLOCK = 1 << 14
+# Most elements in one step's [rows, H] block of a tile: a tile has at most
+# ceil(_TILE_ELEMENTS / H) rows (328 at H=50). On 2 cores with one BLAS thread,
+# one cell's forward plus backward pass over B=2395 windows at H=50 and I=8
+# took 78-82 ms in one piece and 52-53 ms tile by tile (I=50: 105 against
+# 58-68 ms). A batch of one tile stays on the caller's thread: with blocks of
+# B*H <= 4096, a second thread took 1.3-4.9x the serial time in GIL handovers.
+_TILE_ELEMENTS = 1 << 14
 
 _CELLS_PER_LAYER = {"gru": 1, "bigru": 2}
 
@@ -252,8 +258,8 @@ def gru_cell(
             f"expected h_prev[{p.hidden_dim}], x_t[{p.input_dim}]; "
             f"got {h_prev.shape[0]}, {x_t.shape[0]}"
         )
-    seq = x_t[None, None]
-    out, cache = _gru_scan(p, seq, _matmul_exact, _scan_buffers(seq, p.hidden_dim), h0=h_prev[None])
+    bufs = _scan_buffers(np.empty, 1, 1, p.hidden_dim)
+    out, cache = _gru_scan(p, x_t[None, None], _matmul_exact, bufs, h0=h_prev[None])
     r, z, cand = cache.gates[:, 0, 0]
     return out[0, 0], CellCache(r=r, z=z, cand=cand, h_prev=h_prev, x=x_t)
 
@@ -271,13 +277,83 @@ class ScanCache:
 class ModelCache:
     layers: list[list[ScanCache]]  # per layer, one scan cache per cell in cell order
     last_hidden: np.ndarray  # [B, H] final layer, last step
+    take: Take  # where the backward pass gets its arrays
 
 
-def _scan_buffers(seq: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
-    """Uninitialised gates, states, r * h and step scratch for a scan of seq [W, B, I]."""
-    W, B, _ = seq.shape
-    return (np.empty((3, W, B, hidden)), np.empty((W + 1, B, hidden)),
-            np.empty((W, B, hidden)), np.empty((2, B, hidden)))
+class Workspace:
+    """The arrays of forward passes (and, with `backward`, of their backward
+    passes too) over up to `rows` windows of `steps` steps, carved from one
+    block that is allocated here, on the thread that makes the workspace.
+
+    Each forward_batch that uses it starts again at the front of the block,
+    which ends the life of the arrays, the cache included, of the one before.
+    """
+
+    def __init__(self, model: Model, steps: int, rows: int, backward: bool):
+        sizes: list[int] = []
+
+        def count(shape: tuple) -> None:
+            sizes.append(math.prod(shape))
+
+        _forward_buffers(model, steps, rows, count)
+        if backward:
+            _backward_buffers(model, steps, rows, count)
+        self._block = np.empty(sum(sizes))
+        self._used = 0
+        # where TileRunner.run sums the gradients of the workspace's tiles
+        self.grad_sum = [np.empty_like(a) for a in model.param_arrays()] if backward else None
+
+    def restart(self) -> Take:
+        """Hand out the block from its front again; returns self.take."""
+        self._used = 0
+        return self.take
+
+    def take(self, shape: tuple) -> np.ndarray:
+        """The next uninitialised, contiguous `shape` array of the block."""
+        end = self._used + math.prod(shape)
+        if end > self._block.size:
+            raise ValueError(f"workspace of {self._block.size} values is too small "
+                             f"for a further {shape} array")
+        out = self._block[self._used : end].reshape(shape)
+        self._used = end
+        return out
+
+
+def _scan_buffers(take: Take, W: int, B: int, H: int) -> tuple[np.ndarray, ...]:
+    """Gates, states, r * h and step scratch for a scan of B windows of W steps."""
+    return take((3, W, B, H)), take((W + 1, B, H)), take((W, B, H)), take((2, B, H))
+
+
+def _layer_buffers(layer: GruParams | BiGruLayer, W: int, B: int, take: Take) -> tuple:
+    """(scan buffers of each cell, the array two cells' outputs are summed into
+    or None for one cell) of a layer over B windows of W steps."""
+    H = layer.hidden_dim
+    scans = [_scan_buffers(take, W, B, H) for _ in _cells(layer)]
+    return scans, take((W, B, H)) if len(scans) > 1 else None
+
+
+def _forward_buffers(model: Model, W: int, B: int, take: Take) -> tuple:
+    """Every array a forward pass over B windows of W steps fills: the
+    time-major input, each layer's _layer_buffers and the predictions."""
+    return (take((W, B, model.input_dim)),
+            [_layer_buffers(layer, W, B, take) for layer in model.layers],
+            take((B,)))
+
+
+def _backward_buffers(model: Model, W: int, B: int, take: Take) -> tuple:
+    """Every array a backward pass over B windows of W steps fills: the final
+    layer's output grad, then per layer and cell the state grad, step scratch,
+    input grad and product scratch. The bottom layer's cells go without the
+    last two, because nothing reads the gradient of the model's input."""
+
+    def cell(layer, input_grad: bool) -> tuple:
+        H, I, n = layer.hidden_dim, layer.input_dim, W * B
+        if not input_grad:
+            return take((B, H)), take((2, B, H)), None, None
+        return take((B, H)), take((2, B, H)), take((n, I)), take((n, I))
+
+    return (take((W, B, model.layers[-1].hidden_dim)),
+            [[cell(layer, k > 0) for _ in _cells(layer)] for k, layer in enumerate(model.layers)])
 
 
 def _gru_scan(
@@ -311,23 +387,18 @@ def _gru_scan(
     return states[1 - rev : 1 - rev + W], ScanCache(seq, gates, states, rh, reverse)
 
 
-def _backward_buffers(cache: ScanCache) -> tuple[np.ndarray, ...]:
-    """Zeroed state grad, step scratch, input grad and product scratch for
-    backprop through the scan that filled `cache`."""
-    (W, B, I), H = cache.seq.shape, cache.rh.shape[2]
-    return np.zeros((B, H)), np.empty((2, B, H)), np.empty((W * B, I)), np.empty((W * B, I))
-
-
 def _gru_scan_backward(
-    p: GruParams, cache: ScanCache, d_out: np.ndarray, buffers: tuple[np.ndarray, ...],
-) -> tuple[GruParams, np.ndarray]:
+    p: GruParams, cache: ScanCache, d_out: np.ndarray, buffers: tuple,
+) -> tuple[GruParams, np.ndarray | None]:
     """Backprop one scan; returns (parameter grads as a GruParams, d_input_seq).
 
-    Works in `buffers` from _backward_buffers. Writes the gate pre-activation
-    grads over cache.gates, so a cache serves one backward pass."""
+    Works in one cell's `buffers` from _backward_buffers; without an input grad
+    buffer it skips d_input_seq and returns None for it. Writes the gate
+    pre-activation grads over cache.gates, so a cache serves one backward pass."""
     W, B, H = d_out.shape
     g, rev = cache.gates, int(cache.reverse)
     dh, (t1, t2), d_seq, d_more = buffers
+    dh.fill(0.0)
     for t in range(W) if cache.reverse else reversed(range(W)):
         dh += d_out[t]
         r, z, cand = g[:, t]
@@ -358,39 +429,26 @@ def _gru_scan_backward(
     d_U = np.matmul(da_t, cache.seq.reshape(n, -1))
     d_W = np.matmul(da_t[:2], cache.states[rev : rev + W].reshape(n, H))
     d_W_h = da_t[2] @ cache.rh.reshape(n, H)
+    grads = GruParams(*d_W, d_W_h, *d_U, *da.sum(axis=1))
+    if d_seq is None:
+        return grads, None
     np.matmul(da[0], p.U_r, d_seq)
     d_seq += np.matmul(da[1], p.U_z, d_more)
     d_seq += np.matmul(da[2], p.U_h, d_more)
-    return GruParams(*d_W, d_W_h, *d_U, *da.sum(axis=1)), d_seq.reshape(W, B, -1)
-
-
-def _each_direction(runs: list[Callable[[], T]], block: int) -> list[T]:
-    """[run() for run in runs]; a second run runs on a second thread meanwhile
-    when `block`, the element count of one step's [B, H] block, is at least
-    _THREAD_MIN_BLOCK, and after the first on this thread otherwise.
-
-    The thread is joined before this returns, also when either side raises;
-    an exception from the second run is re-raised here."""
-    if len(runs) == 1 or block < _THREAD_MIN_BLOCK:
-        return [run() for run in runs]
-    first, second = runs
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        rev = pool.submit(second)
-        return [first(), rev.result()]
+    return grads, d_seq.reshape(W, B, -1)
 
 
 def _layer_forward(
-    layer: GruParams | BiGruLayer, seq: np.ndarray, mm: MatMul
+    layer: GruParams | BiGruLayer, seq: np.ndarray, mm: MatMul, buffers: tuple
 ) -> tuple[np.ndarray, list[ScanCache]]:
-    """Scan every cell of a layer over [W, B, I] and sum their outputs in cell order."""
-    scans = _each_direction(
-        [partial(_gru_scan, p, seq, mm, _scan_buffers(seq, p.hidden_dim), reverse=k == 1)
-         for k, p in enumerate(_cells(layer))],
-        seq.shape[1] * layer.hidden_dim,
-    )
+    """Scan every cell of a layer over [W, B, I] into `buffers` from
+    _layer_buffers, one after the other, and sum their outputs in cell order."""
+    scan_buffers, total = buffers
+    scans = [_gru_scan(p, seq, mm, bufs, reverse=k == 1)
+             for k, (p, bufs) in enumerate(zip(_cells(layer), scan_buffers))]
     out = scans[0][0]
-    for more, _ in scans[1:]:
-        out = out + more
+    if total is not None:
+        out = np.add(out, scans[1][0], out=total)
     return out, [cache for _, cache in scans]
 
 
@@ -403,35 +461,49 @@ def gru_forward(layer: GruParams | BiGruLayer, X_seq: np.ndarray) -> np.ndarray:
     X_seq = np.asarray(X_seq, dtype=np.float64)
     if X_seq.ndim != 2 or X_seq.shape[1] != layer.input_dim:
         raise ValueError(f"expected [W, {layer.input_dim}] input, got {X_seq.shape}")
-    return _layer_forward(layer, X_seq[:, None], _matmul_exact)[0][:, 0]
+    bufs = _layer_buffers(layer, X_seq.shape[0], 1, np.empty)
+    return _layer_forward(layer, X_seq[:, None], _matmul_exact, bufs)[0][:, 0]
 
 
 bigru_forward = gru_forward
 
 
-def forward_batch(
-    model: Model, X: np.ndarray, exact: bool = True
-) -> tuple[np.ndarray, ModelCache]:
-    """Forward a batch of windows [B, W, n_features] to scalar predictions [B]."""
+def _windows(model: Model, X: np.ndarray) -> np.ndarray:
+    """X as float64 windows [B, W, n_features] of this model."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or X.shape[2] != model.input_dim:
         raise ValueError(
             f"expected windows [B, W, {model.input_dim}], got shape {X.shape}"
         )
+    return X
+
+
+def forward_batch(
+    model: Model, X: np.ndarray, exact: bool = True, workspace: Workspace | None = None,
+) -> tuple[np.ndarray, ModelCache]:
+    """Forward a batch of windows [B, W, n_features] to scalar predictions [B].
+
+    The predictions, the cache and the arrays a later backward_batch fills come
+    from `workspace` if one is given, and are allocated otherwise."""
+    X = _windows(model, X)
+    B, W, _ = X.shape
+    take = np.empty if workspace is None else workspace.restart()
+    seq, layer_buffers, pred = _forward_buffers(model, W, B, take)
+    np.copyto(seq, X.transpose(1, 0, 2))
     mm = _matmul_exact if exact else np.matmul
-    seq = np.ascontiguousarray(X.transpose(1, 0, 2))
     layer_caches = []
-    for layer in model.layers:
-        seq, scans = _layer_forward(layer, seq, mm)
+    for layer, buffers in zip(model.layers, layer_buffers):
+        seq, scans = _layer_forward(layer, seq, mm, buffers)
         layer_caches.append(scans)
     last = seq[-1]
     if exact:
-        pred = np.full(X.shape[0], model.b_o[0])
+        pred.fill(model.b_o[0])
         for j in range(last.shape[1]):
             pred += last[:, j] * model.w_o[j]
     else:
-        pred = last @ model.w_o + model.b_o[0]
-    return pred, ModelCache(layers=layer_caches, last_hidden=last)
+        np.matmul(last, model.w_o, out=pred)
+        pred += model.b_o[0]
+    return pred, ModelCache(layers=layer_caches, last_hidden=last, take=take)
 
 
 def backward_batch(
@@ -449,20 +521,20 @@ def backward_batch(
     dw_o = cache.last_hidden.T @ d_pred
     db_o = np.array([d_pred.sum()])
 
+    W, B = cache.layers[-1][0].seq.shape[:2]
+    d_seq, layer_buffers = _backward_buffers(model, W, B, cache.take)
+    d_seq.fill(0.0)
+    np.multiply(d_pred[:, None], model.w_o[None, :], out=d_seq[-1])
     grad_layers = []
-    W = cache.layers[-1][0].seq.shape[0]
-    d_seq = np.zeros((W, d_pred.shape[0], model.layers[-1].hidden_dim))
-    d_seq[-1] = d_pred[:, None] * model.w_o[None, :]
-    for layer, scans in zip(reversed(model.layers), reversed(cache.layers)):
-        grads = _each_direction(
-            [partial(_gru_scan_backward, p, c, d_seq, _backward_buffers(c))
-             for p, c in zip(_cells(layer), scans)],
-            d_seq.shape[1] * layer.hidden_dim,
-        )
+    for layer, scans, buffers in zip(reversed(model.layers), reversed(cache.layers),
+                                     reversed(layer_buffers)):
+        grads = [_gru_scan_backward(p, c, d_seq, bufs)
+                 for p, c, bufs in zip(_cells(layer), scans, buffers)]
         grad_layers.append(_layer([g for g, _ in grads]))
         d_seq = grads[0][1]
-        for _, more in grads[1:]:
-            d_seq += more
+        if d_seq is not None:
+            for _, more in grads[1:]:
+                d_seq += more
     grad_layers.reverse()
     return Model(layers=grad_layers, w_o=dw_o, b_o=db_o, mode=model.mode)
 
@@ -481,6 +553,74 @@ def model_backward(model: Model, caches: ModelCache, dLoss_dPred: float) -> Mode
     return backward_batch(model, caches, np.array([float(dLoss_dPred)]))
 
 
+def _accumulate(total: Grads, grads: Grads, into: list | None) -> Grads:
+    """total + grads, summed in place; a None total starts as a copy of grads
+    in the arrays `into`, and None grads leave total as it is."""
+    if grads is not None:
+        if total is None:
+            total = into
+            for t, g in zip(total, grads):
+                np.copyto(t, g)
+        else:
+            for t, g in zip(total, grads):
+                t += g
+    return total
+
+
+class TileRunner:
+    """The window tiles of a batch of B windows of `steps` steps and one
+    Workspace per slot, which this thread allocates; with `backward` the
+    workspaces hold a backward pass too. Tiles have near-equal sizes of at most
+    ceil(_TILE_ELEMENTS / H) rows, so they depend only on B and H, and a
+    runner serves every batch of the same shape (every epoch of a training run).
+    """
+
+    def __init__(self, model: Model, B: int, steps: int, backward: bool):
+        rows = -(-_TILE_ELEMENTS // max(layer.hidden_dim for layer in model.layers))
+        n = max(1, -(-B // rows))
+        bounds = [B * i // n for i in range(n + 1)]
+        self.tiles = list(zip(bounds, bounds[1:]))
+        self.workspaces = [Workspace(model, steps, -(-B // n), backward)
+                           for _ in range(min(n, 2))]
+
+    def run(self, tile: Callable[[Workspace, int, int], Grads]) -> Grads:
+        """Call tile(workspace, a, b) for every tile [a, b) and return the sum
+        of the gradient lists it returns, None for none; the sum is valid until
+        the next run.
+
+        Tile i runs in slot i % 2 with that slot's workspace: slot 0 on this
+        thread, slot 1 meanwhile on a second thread, which is joined before
+        this returns, also when either side raises; an error from slot 1 is
+        re-raised here (chained to slot 0's if both fail). Each slot adds its
+        tiles' lists in tile order into its workspace's grad_sum, and slot 1's
+        sum is added to slot 0's."""
+
+        def run_slot(slot: int) -> Grads:
+            workspace, total = self.workspaces[slot], None
+            for a, b in self.tiles[slot::2]:
+                # a tile's gradients are freed before the next tile allocates its own
+                total = _accumulate(total, tile(workspace, a, b), workspace.grad_sum)
+            return total
+
+        if len(self.tiles) == 1:
+            return run_slot(0)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            second = pool.submit(run_slot, 1)
+            try:
+                total = run_slot(0)
+            finally:  # joins slot 1, and raises its error over slot 0's
+                more = second.result()
+        return _accumulate(total, more, self.workspaces[0].grad_sum)
+
+
 def predict_batch(model: Model, X: np.ndarray) -> np.ndarray:
-    """Predictions for a batch of windows via the grouping-invariant exact path."""
-    return forward_batch(model, X, exact=True)[0]
+    """Predictions for a batch of windows via the grouping-invariant exact path,
+    tile by tile."""
+    X = _windows(model, X)
+    pred = np.empty(X.shape[0])
+
+    def tile(workspace: Workspace, a: int, b: int) -> None:
+        pred[a:b] = forward_batch(model, X[a:b], exact=True, workspace=workspace)[0]
+
+    TileRunner(model, X.shape[0], X.shape[1], backward=False).run(tile)
+    return pred

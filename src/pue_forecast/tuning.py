@@ -1,9 +1,10 @@
 """Hyperparameter grid search: Adam-trained GRU/BiGRU runs with best-model checkpoints.
 
-Training is full-batch: every epoch computes the mean squared error over all
-training windows, backpropagates once and applies one Adam step. Held-out
-metrics are computed on a fixed cadence and the checkpoint keeps the
-parameters of the best evaluation seen, never the final epoch's weights.
+Training is full-batch: every epoch applies one Adam step with the gradient of
+the mean squared error over all training windows, which rnn.TileRunner forms
+window tile by window tile. Held-out metrics are computed on a fixed cadence
+and the checkpoint keeps the parameters of the best evaluation seen, never the
+final epoch's weights.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .dataset import (
     write_rows,
 )
 from .metrics import MetricsReport, evaluate
-from .rnn import Model, backward_batch, forward_batch, init_params, predict_batch
+from .rnn import Model, TileRunner, backward_batch, forward_batch, init_params, predict_batch
 
 log = logging.getLogger(__name__)
 
@@ -226,8 +227,14 @@ class Checkpoint:
         if norm is not None:
             lists += [(f"normalization.{f}", norm[f])
                       for f in ("feature_names", "feature_min", "feature_max")]
-        checks += [(f, v, isinstance(v, list) and len(v) == n_features,
-                    f"a list of {n_features} entries") for f, v in lists]
+        for f, v in lists:
+            if f.endswith("feature_names"):
+                ok = (isinstance(v, list) and all(isinstance(n, str) for n in v)
+                      and len(set(v)) == len(v) == n_features)
+                checks.append((f, v, ok, f"a list of {n_features} distinct strings"))
+            else:
+                checks.append((f, v, isinstance(v, list) and len(v) == n_features,
+                               f"a list of {n_features} entries"))
         for name, value, ok, want in checks:
             if not ok:
                 raise ValueError(f"{path}: field {name!r} must be {want}, got {value!r}")
@@ -321,6 +328,21 @@ def train(
     X = ws_train.windows
     y = ws_train.targets
     B = ws_train.n_windows
+    runner = TileRunner(model, B, cfg.window, backward=cfg.learning_rate > 0.0)
+    pred = np.empty(B)
+
+    def tile(workspace, a: int, b: int) -> list[np.ndarray] | None:
+        """Forward windows [a, b) and backpropagate their share of the loss
+        while their caches are warm; returns their gradient arrays, or None
+        without a learning rate or when their loss is not finite, which the
+        epoch's loss check reports."""
+        pred[a:b], cache = forward_batch(model, X[a:b], exact=False, workspace=workspace)
+        err = pred[a:b] - y[a:b]
+        with np.errstate(over="ignore", invalid="ignore"):  # the error state is per thread
+            finite = math.isfinite(float(np.sum(err * err)))
+        if cfg.learning_rate == 0.0 or not finite:
+            return None
+        return backward_batch(model, cache, 2.0 * err / B).param_arrays()
 
     history = TrainHistory()
     best_loss = np.inf
@@ -330,7 +352,7 @@ def train(
     last_finite = np.nan
 
     for epoch in range(1, cfg.max_epochs + 1):
-        pred, cache = forward_batch(model, X, exact=False)
+        garrs = runner.run(tile)
         err = pred - y
         with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
             loss = float(np.mean(err * err))
@@ -343,9 +365,7 @@ def train(
             best_epoch = epoch
             best_params = _flat_params(model)
 
-        if cfg.learning_rate > 0.0:
-            grads = backward_batch(model, cache, 2.0 * err / B)
-            garrs = grads.param_arrays()
+        if garrs is not None:
             if cfg.grad_clip is not None:
                 norm = float(np.sqrt(sum(float((g * g).sum()) for g in garrs)))
                 if norm > cfg.grad_clip:
@@ -356,9 +376,6 @@ def train(
                 params, garrs, (m1, m2), t=epoch, lr=cfg.learning_rate,
                 beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
             )
-        # held into the next epoch's forward, this cache would coexist with
-        # that one's and set the peak memory
-        del cache
 
         if epoch % cfg.eval_every == 0:
             ev_pred = predict_batch(model, ws_eval.windows)

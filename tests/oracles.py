@@ -59,13 +59,15 @@ def random_config_check(seed, max_features=4, max_hidden=4, max_layers=2,
 
 def serial_cells(model, X, d_pred, exact):
     """forward_batch predictions and backward_batch gradient arrays of a gru or
-    bigru model, with the cells of every layer scanned one after the other on
-    the calling thread through the library's scan kernels."""
+    bigru model, with the cells of every layer scanned one after the other
+    through the library's scan kernels in freshly allocated buffers, and the
+    input gradient formed for every layer, the bottom one included."""
     mm = rnn._matmul_exact if exact else np.matmul
     seq = np.ascontiguousarray(X.transpose(1, 0, 2))
     caches = []
     for layer in model.layers:
-        scans = [rnn._gru_scan(p, seq, mm, rnn._scan_buffers(seq, p.hidden_dim),
+        W, B, _ = seq.shape
+        scans = [rnn._gru_scan(p, seq, mm, rnn._scan_buffers(np.empty, W, B, p.hidden_dim),
                                reverse=k == 1)
                  for k, p in enumerate(rnn._cells(layer))]
         caches.append([cache for _, cache in scans])
@@ -84,7 +86,10 @@ def serial_cells(model, X, d_pred, exact):
     d_seq[-1] = d_pred[:, None] * model.w_o[None, :]
     grads = []
     for layer, layer_caches in zip(reversed(model.layers), reversed(caches)):
-        back = [rnn._gru_scan_backward(p, cache, d_seq, rnn._backward_buffers(cache))
+        W, B, _ = d_seq.shape
+        back = [rnn._gru_scan_backward(p, cache, d_seq, (
+                    np.empty((B, p.hidden_dim)), np.empty((2, B, p.hidden_dim)),
+                    np.empty((W * B, p.input_dim)), np.empty((W * B, p.input_dim))))
                 for p, cache in zip(rnn._cells(layer), layer_caches)]
         grads = [a for g, _ in back for _, a in g.param_items()] + grads
         d_seq = back[0][1]

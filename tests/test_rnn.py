@@ -1,4 +1,6 @@
 import threading
+import tracemalloc
+from concurrent.futures import Future
 from unittest import mock
 
 import numpy as np
@@ -232,7 +234,49 @@ class TestModelForward:
             model_forward(model, np.zeros(3))
 
 
-class TestThreadedDirections:
+class _Inline:
+    """Stands in for ThreadPoolExecutor: runs a submitted call at once, on the
+    calling thread, so slot 1 runs before slot 0 and never beside it."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        try:
+            done.set_result(fn(*args))
+        except BaseException as exc:
+            done.set_exception(exc)
+        return done
+
+
+def tiled_step(model, X, y):
+    """Loss, predictions and summed gradient arrays of the mean squared error,
+    each tile forwarded and backpropagated in turn, as tuning.train does."""
+    B = X.shape[0]
+    pred = np.empty(B)
+
+    def tile(workspace, a, b):
+        pred[a:b], cache = forward_batch(model, X[a:b], exact=False, workspace=workspace)
+        return backward_batch(model, cache, 2.0 * (pred[a:b] - y[a:b]) / B).param_arrays()
+
+    grads = rnn.TileRunner(model, B, X.shape[1], backward=True).run(tile)
+    return float(np.mean((pred - y) ** 2)), pred, grads
+
+
+def close(got, want, rel):
+    """Every entry within `rel` times the largest entry of want; an all-zero
+    want (a W grad of one-step windows, whose state is zero) needs zeros."""
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestTileRunner:
     @settings(deadline=None, max_examples=30)
     @given(
         mode=st.sampled_from(["gru", "bigru"]),
@@ -242,73 +286,156 @@ class TestThreadedDirections:
         length=st.integers(1, 7),
         batch=st.integers(1, 300),
         exact=st.booleans(),
-        min_block=st.sampled_from([0, rnn._THREAD_MIN_BLOCK]),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_equals_serial_directions_bitwise(self, mode, layers, hidden, n_features,
-                                              length, batch, exact, min_block, seed):
-        """Predictions and every gradient equal the cells of each layer scanned
-        one after the other on the calling thread, whether a bigru layer's
-        reverse direction ran on a second thread (min_block 0) or not."""
+    def test_kernels_equal_serial_cells_bitwise(self, mode, layers, hidden, n_features,
+                                                length, batch, exact, seed):
+        """forward_batch predictions and every backward_batch gradient equal the
+        oracle's, which scans in fresh buffers and also forms the bottom layer's
+        input gradient, with and without a workspace."""
         model = init_params(n_features, hidden, layers, mode, seed=seed)
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((batch, length, n_features))
         d_pred = rng.standard_normal(batch)
         want_pred, want_grads = serial_cells(model, X, d_pred, exact)
-        with mock.patch.object(rnn, "_THREAD_MIN_BLOCK", min_block):
-            pred, cache = forward_batch(model, X, exact=exact)
+        for workspace in (None, rnn.Workspace(model, length, batch, backward=True)):
+            pred, cache = forward_batch(model, X, exact=exact, workspace=workspace)
+            assert np.array_equal(pred, want_pred)
             grads = backward_batch(model, cache, d_pred).param_arrays()
-        assert np.array_equal(pred, want_pred)
+            assert len(grads) == len(want_grads)
+            assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        mode=st.sampled_from(["gru", "bigru"]),
+        layers=st.integers(1, 3),
+        hidden=st.integers(1, 40),
+        n_features=st.integers(1, 9),
+        length=st.integers(1, 6),
+        rows=st.integers(1, 40),
+        batch=st.integers(1, 180),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_tiles_match_the_full_batch(self, mode, layers, hidden, n_features, length,
+                                        rows, batch, seed):
+        """With tiles of about `rows` windows (1 to 180 tiles), the tiled loss and
+        predictions match one full-batch forward_batch to 1e-12 relative and the
+        gradients match backward_batch to 1e-10; two threads and one give the
+        same bits, and the exact path predicts the same bits tile by tile."""
+        model = init_params(n_features, hidden, layers, mode, seed=seed)
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((batch, length, n_features))
+        y = rng.standard_normal(batch)
+        want_pred, cache = forward_batch(model, X, exact=False)
+        want_loss = float(np.mean((want_pred - y) ** 2))
+        want_grads = backward_batch(model, cache, 2.0 * (want_pred - y) / batch).param_arrays()
+        exact = forward_batch(model, X, exact=True)[0]
+        with mock.patch.object(rnn, "_TILE_ELEMENTS", rows * hidden):
+            loss, pred, grads = tiled_step(model, X, y)
+            assert np.array_equal(predict_batch(model, X), exact)
+            with mock.patch.object(rnn, "ThreadPoolExecutor", _Inline):
+                inline = tiled_step(model, X, y)
+        assert abs(loss - want_loss) <= 1e-12 * want_loss
+        assert close(pred, want_pred, 1e-12)
         assert len(grads) == len(want_grads)
-        assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+        assert all(close(g, w, 1e-10) for g, w in zip(grads, want_grads))
+        assert inline[0] == loss and np.array_equal(inline[1], pred)
+        assert all(np.array_equal(g, w) for g, w in zip(inline[2], grads))
+
+    def test_tiles_are_near_equal_and_follow_b_and_h(self):
+        model = init_params(8, 50, 2, "bigru", seed=0)
+        assert rnn.TileRunner(model, 328, 6, backward=False).tiles == [(0, 328)]
+        sizes = [b - a for a, b in rnn.TileRunner(model, 2395, 6, backward=False).tiles]
+        assert sizes == [299, 299, 300, 299, 299, 300, 299, 300]
+        runner = rnn.TileRunner(model, 1000, 6, backward=False)
+        assert [b - a for a, b in runner.tiles] == [250] * 4
+        assert len(runner.workspaces) == 2
 
     @pytest.mark.parametrize("kernel", ["_gru_scan", "_gru_scan_backward"])
-    def test_reverse_direction_error_reaches_caller(self, monkeypatch, kernel):
-        """The reverse direction runs on another thread, its error reaches the
-        caller, and no thread outlives a failed or a successful call."""
-        monkeypatch.setattr(rnn, "_THREAD_MIN_BLOCK", 0)
+    def test_slot_error_reaches_caller(self, monkeypatch, kernel):
+        """Slot 1 runs on another thread, its error reaches the caller, and no
+        thread outlives a failed or a successful call."""
+        monkeypatch.setattr(rnn, "_TILE_ELEMENTS", 4 * 4)
         model = init_params(3, 4, 2, "bigru", seed=7)
-        X = np.random.default_rng(8).standard_normal((5, 4, 3))
+        X = np.random.default_rng(8).standard_normal((10, 4, 3))
         before = threading.active_count()
+        caller = threading.get_ident()
         real = getattr(rnn, kernel)
-        reverse_threads = set()
+        other_threads = set()
         fail = True
 
-        def patched(p, state, *args, **kwargs):
-            reverse = kwargs.get("reverse") if kernel == "_gru_scan" else state.reverse
-            if reverse:
-                reverse_threads.add(threading.get_ident())
+        def patched(*args, **kwargs):
+            if threading.get_ident() != caller:
+                other_threads.add(threading.get_ident())
                 if fail:
-                    raise FloatingPointError("reverse direction failed")
-            return real(p, state, *args, **kwargs)
+                    raise FloatingPointError("slot 1 failed")
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(rnn, kernel, patched)
-        with pytest.raises(FloatingPointError, match="reverse direction failed"):
-            _, cache = forward_batch(model, X, exact=False)
-            backward_batch(model, cache, np.ones(5))
+        with pytest.raises(FloatingPointError, match="slot 1 failed"):
+            tiled_step(model, X, np.ones(10))
         assert threading.active_count() == before
         fail = False
-        _, cache = forward_batch(model, X, exact=False)
-        backward_batch(model, cache, np.ones(5))
+        tiled_step(model, X, np.ones(10))
         assert threading.active_count() == before
-        assert reverse_threads and threading.get_ident() not in reverse_threads
+        assert other_threads
 
-    def test_buffers_allocated_on_calling_thread(self, monkeypatch):
-        """Every cell's forward and backward buffers come from the calling thread,
-        also when the reverse direction runs on a second one."""
-        monkeypatch.setattr(rnn, "_THREAD_MIN_BLOCK", 0)
-        calls = []
-        for name in ("_scan_buffers", "_backward_buffers"):
-            def record(*args, _real=getattr(rnn, name), _name=name):
-                calls.append((_name, threading.get_ident()))
-                return _real(*args)
-            monkeypatch.setattr(rnn, name, record)
+    def test_workspaces_allocated_on_calling_thread(self, monkeypatch):
+        """Both slots' workspaces are allocated on the calling thread, and the
+        tiles on both threads carve their arrays from them."""
+        monkeypatch.setattr(rnn, "_TILE_ELEMENTS", 4 * 4)
+        made, tile_threads = [], set()
+        real_init, real_take = rnn.Workspace.__init__, rnn.Workspace.take
+
+        def init(self, *args):
+            made.append(threading.get_ident())
+            real_init(self, *args)
+
+        def take(self, shape):
+            tile_threads.add(threading.get_ident())
+            return real_take(self, shape)
+
+        monkeypatch.setattr(rnn.Workspace, "__init__", init)
+        monkeypatch.setattr(rnn.Workspace, "take", take)
         model = init_params(3, 4, 2, "bigru", seed=7)
-        X = np.random.default_rng(8).standard_normal((5, 4, 3))
-        _, cache = forward_batch(model, X, exact=False)
-        backward_batch(model, cache, np.ones(5))
-        assert sorted(n for n, _ in calls) == ["_backward_buffers"] * 4 + ["_scan_buffers"] * 4
-        assert {t for _, t in calls} == {threading.get_ident()}
+        X = np.random.default_rng(8).standard_normal((10, 4, 3))
+        tiled_step(model, X, np.ones(10))
+        predict_batch(model, X)
+        assert made == [threading.get_ident()] * 4
+        assert len(tile_threads) == 2
+
+    def test_training_step_memory_follows_the_tile_not_the_batch(self):
+        """A training step allocates as many bytes at peak for 2 tiles as for
+        20 tiles of the same size, counted by tracemalloc, which sees every
+        numpy allocation. Python objects (the tile list, free lists) add a few
+        KB for more tiles; one tile's gradient arrays alone are 385 KB here."""
+        model = init_params(8, 50, 2, "bigru", seed=3)
+        rows = -(-rnn._TILE_ELEMENTS // 50)
+        rng = np.random.default_rng(4)
+
+        def peak(n_tiles):
+            X = rng.standard_normal((rows * n_tiles, 6, 8))
+            y = rng.standard_normal(rows * n_tiles)
+            B = X.shape[0]
+            pred = np.empty(B)
+
+            def tile(workspace, a, b):
+                pred[a:b], cache = forward_batch(model, X[a:b], exact=False,
+                                                 workspace=workspace)
+                return backward_batch(model, cache, 2.0 * (pred[a:b] - y[a:b]) / B).param_arrays()
+
+            tracemalloc.start()
+            try:
+                rnn.TileRunner(model, B, 6, backward=True).run(tile)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with mock.patch.object(rnn, "ThreadPoolExecutor", _Inline):
+            two, twenty = peak(2), peak(20)
+        assert abs(twenty - two) < 64 * 1024
+        full_caches = 8 * 20 * rows * 6 * 50 * 2 * 2 * 5  # gates, states and r*h per cell
+        assert two < full_caches / 5
 
 
 class TestModelBackward:

@@ -309,6 +309,38 @@ class TestCheckpointPersistence:
                 Checkpoint.load(path)
 
 
+    def test_feature_names_must_be_distinct_strings(self, tmp_path):
+        """Names that are not strings, or repeat, fail at load naming the file
+        and the field, not later as a column missing from the input CSV."""
+        ws_tr, ws_te, norm, ds = make_windowed()
+        cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.02,
+                          max_epochs=10, eval_every=10, mode="gru", seed=0, window=4)
+        ckpt, _ = train(ws_tr, ws_te, cfg, feature_names=list(ds.feature_names),
+                        normalization=norm)
+        good = tmp_path / "good.json"
+        ckpt.save(good)
+        doc = json.loads(good.read_text())
+        n = doc["n_features"]
+        numbers, repeated = list(range(1, n + 1)), [doc["feature_names"][0]] * n
+
+        def both(names):
+            return dict(doc, feature_names=names,
+                        normalization=dict(doc["normalization"], feature_names=names))
+
+        cases = [
+            ("feature_names", both(numbers)),
+            ("feature_names", both(repeated)),
+            ("feature_names", dict(doc, feature_names=numbers)),
+            ("normalization.feature_names", dict(both(repeated), feature_names=None)),
+        ]
+        for i, (field, bad) in enumerate(cases):
+            path = tmp_path / f"bad_{i}.json"
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: field '{field}' must be a list of {n} distinct strings")):
+                Checkpoint.load(path)
+
+
 class TestGridSearch:
     def test_degenerate_grid_equals_single_train(self):
         ds = generate_synthetic(80, 3, 1, seed=12)
