@@ -213,6 +213,61 @@ def best_stump(X, y):
     return min(stump_sses(X, y), key=lambda s: s[0], default=(np.inf, None, None))
 
 
+def greedy_tree(X, r, max_depth, lam):
+    """Exact-greedy regression tree on residuals `r`, grown by plain recursion.
+
+    The split finding of Chen & Guestrin, "XGBoost: A Scalable Tree Boosting
+    System" (KDD 2016), Algorithm 1. Per node: sort each feature, score every
+    midpoint between adjacent distinct values by
+    gain = L^2/(nl+lam) + R^2/(nr+lam) - T^2/(n+lam) from masked sums, and
+    split when the best gain is above 0; ties go to the lowest feature, then
+    the lowest threshold. A leaf is {"value"}; a split is {"feature",
+    "threshold", "gain", "left", "right"}. A node that scored candidates also
+    carries "margin": how far its decision is from flipping (the winner's
+    gain over the runner-up and over 0, or a leaf's best gain below 0).
+    """
+    def grow(rows, depth):
+        res = r[rows]
+        node = {"value": res.sum() / (len(rows) + lam)}
+        if depth == max_depth:
+            return node
+        total = res.sum()
+        scored = []  # (gain, feature, threshold) by feature, then threshold
+        for c in range(X.shape[1]):
+            x = X[rows, c]
+            vals = np.unique(x)  # sorted
+            for a, b in zip(vals, vals[1:]):
+                thr = 0.5 * (a + b)
+                left = x < thr
+                nl = int(left.sum())
+                L = res[left].sum()
+                gain = (L * L / (nl + lam) + (total - L) ** 2 / (len(rows) - nl + lam)
+                        - total * total / (len(rows) + lam))
+                scored.append((gain, c, thr))
+        if not scored:
+            return node
+        best = max(scored, key=lambda s: s[0])  # max keeps the first of equals
+        runner_up = max((s[0] for s in scored if s is not best), default=-np.inf)
+        if best[0] <= 0.0:
+            node["margin"] = -best[0]
+            return node
+        gain, c, thr = best
+        left = X[rows, c] < thr
+        node.update(feature=c, threshold=thr, gain=gain,
+                    margin=gain - max(runner_up, 0.0),
+                    left=grow(rows[left], depth + 1), right=grow(rows[~left], depth + 1))
+        return node
+
+    return grow(np.arange(len(r)), 0)
+
+
+def greedy_route(node, row):
+    """The leaf value a greedy_tree gives one row."""
+    while "feature" in node:
+        node = node["left"] if row[node["feature"]] < node["threshold"] else node["right"]
+    return node["value"]
+
+
 def replay_residuals(model, X, y):
     """Yield (tree, residuals-before-tree) pairs by replaying the boosting path."""
     pred = np.full(len(y), model.base_score)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     best_stump,
+    greedy_route,
+    greedy_tree,
     leaf_closed_form_worst_err,
     model_dump,
     replay_residuals,
@@ -256,6 +258,26 @@ def _assert_same_model(model, ref):
     assert model.train_losses == ref.train_losses
 
 
+def _greedy_nodes(node):
+    """Every node of a greedy_tree, parents before children."""
+    yield node
+    if "feature" in node:
+        yield from _greedy_nodes(node["left"])
+        yield from _greedy_nodes(node["right"])
+
+
+def _assert_same_as_greedy(tree, node, i=0):
+    """Walk a fitted tree and a greedy_tree from the root together: split
+    features, thresholds and shape exactly, leaf values to 1e-9 relative."""
+    if "feature" not in node:
+        assert tree.feature[i] == -1
+        assert tree.value[i] == pytest.approx(node["value"], rel=1e-9, abs=1e-12)
+        return
+    assert (tree.feature[i], tree.threshold[i]) == (node["feature"], node["threshold"])
+    _assert_same_as_greedy(tree, node["left"], tree.left[i])
+    _assert_same_as_greedy(tree, node["right"], tree.right[i])
+
+
 def _random_xy(rng, sizes, n_features, levels):
     n = sum(sizes)
     if levels:
@@ -308,6 +330,39 @@ class TestAgainstOracles:
         m = gbt_fit(X, y, n_estimators=n_estimators, learning_rate=learning_rate,
                     max_depth=max_depth, reg_lambda=reg_lambda)
         assert leaf_closed_form_worst_err(m, X, y) <= 1e-12 * (1 + np.abs(y).max())
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(2, 60),
+        n_features=st.integers(1, 4),
+        levels=st.sampled_from([0, 2, 3]),  # 0: continuous; k: k distinct values (ties)
+        max_depth=st.integers(2, 4),
+        n_estimators=st.integers(1, 3),
+        reg_lambda=st.sampled_from([0.0, 1.0, 2.5]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_trees_match_the_exact_greedy_oracle(self, n, n_features, levels, max_depth,
+                                                 n_estimators, reg_lambda, seed):
+        """Every tree of a boosting run equals greedy_tree on the oracle's own
+        residuals. Only draws where every node's decision clears its runner-up
+        (and 0) by 1e-6 of the residual sum of squares are checked, so float
+        rounding cannot flip a near-tie."""
+        X, y = _random_xy(np.random.default_rng(seed), [n], n_features, levels)
+        m = gbt_fit(X, y, n_estimators, 0.5, max_depth, reg_lambda=reg_lambda)
+        pred = np.full(n, y.mean())
+        importance = np.zeros(n_features)
+        for tree in m.trees:
+            r = y - pred
+            oracle = greedy_tree(X, r, max_depth, reg_lambda)
+            nodes = list(_greedy_nodes(oracle))
+            if any(v.get("margin", np.inf) <= 1e-6 * float(r @ r) for v in nodes):
+                return
+            _assert_same_as_greedy(tree, oracle)
+            for v in nodes:
+                if "feature" in v:
+                    importance[v["feature"]] += v["gain"]
+            pred = pred + 0.5 * np.array([greedy_route(oracle, row) for row in X])
+        np.testing.assert_allclose(gbt_importance(m), importance, rtol=1e-9, atol=0)
 
 
 class TestMultiRoot:
