@@ -48,23 +48,22 @@ class GbtModel:
     n_features: int
     feature_importance: np.ndarray = field(default=None)  # type: ignore[assignment]
     train_losses: list[float] = field(default_factory=list)
-    total_gain: float = 0.0
 
     def __post_init__(self):
         if self.feature_importance is None:
             self.feature_importance = np.zeros(self.n_features)
 
 
-def _presort(X: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _presort(X: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
     """Stable per-block column presort of the stacked X for _TreeBuilder.
 
-    Returns three [n_features, n_rows] int32 arrays: per block, the stacked
-    row ids in ascending value order; the dense value rank at each of those
-    positions (equal ranks mark equal adjacent values; a rank step between
-    two blocks is never read, as no node spans blocks); and each row's rank.
-    Feature rows are independent and each block keeps to its own span of
-    positions, so some feature rows and the positions of the leading blocks
-    are the presort of that column subset and those blocks.
+    Returns two [n_features, n_rows] int32 arrays: per block, the stacked row
+    ids in ascending value order; and each row's dense value rank (equal
+    ranks mark equal values; a rank step between two blocks is never read,
+    as no node spans blocks). Feature rows are independent and each block
+    keeps to its own span of positions, so some feature rows and the
+    positions of the leading blocks are the presort of that column subset
+    and those blocks.
     """
     n, f = X.shape
     bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
@@ -79,7 +78,7 @@ def _presort(X: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                   out=dense[:, 1:])
     rank = np.empty((f, n), dtype=np.int32)
     np.put_along_axis(rank, sort_rows, dense, axis=1)
-    return sort_rows, dense, rank
+    return sort_rows, rank
 
 
 class _TreeBuilder:
@@ -87,7 +86,7 @@ class _TreeBuilder:
     presorted feature columns.
 
     A root is a contiguous block of rows of the stacked X with its own presort,
-    residuals, node numbering and gains; a single-root build is the plain
+    residuals, span of node ids and gains; a single-root build is the plain
     one-tree case. Growing several roots together spreads the per-level numpy
     call overhead over all of them, and every root's tree, leaf assignment and
     gains are bitwise those of building it alone: prefix sums restart at each
@@ -118,7 +117,7 @@ class _TreeBuilder:
         self.n, self.f = n, f
         # the presort of exactly these rows and columns (see _presort); ranks
         # are read by flat offset c*n + row
-        self.sort_rows, self.dense0, rank = presort
+        self.sort_rows, rank = presort
         self.rank_flat = np.ascontiguousarray(rank).ravel()
         self.rowoff = (n * np.arange(f, dtype=np.int32))[:, None]
         self.rows = np.arange(n)
@@ -138,46 +137,38 @@ class _TreeBuilder:
         self._valid = np.empty((f, n), dtype=bool)
         self._perm_a = np.empty((f, n), dtype=np.int32)
         self._perm_b = np.empty((f, n), dtype=np.int32)
-        # node capacity: a full binary tree of max_depth per root, clamped by
-        # the root's row count
-        self.capacity = sum(
-            min(2 ** (max_depth + 1) - 1, max(2 * size - 1, 1)) for size in sizes
-        )
-        self.root_of_row = np.repeat(np.arange(self.n_roots), self.sizes)
+        # root r numbers its nodes from first[r] in creation order, in a span
+        # holding a full binary tree of max_depth clamped by its row count
+        caps = [min(2 ** (max_depth + 1) - 1, max(2 * size - 1, 1)) for size in sizes]
+        self.first = np.cumsum(caps) - caps
+        self.node_root = np.repeat(np.arange(self.n_roots), caps)
+        self.root_node = np.repeat(self.first, self.sizes)  # of each row
 
-    def build(
-        self, residual: np.ndarray
-    ) -> tuple[list[Tree], np.ndarray, np.ndarray, np.ndarray]:
+    def build(self, residual: np.ndarray) -> tuple[list[Tree], np.ndarray, np.ndarray]:
         """Grow one tree per root on the stacked residuals.
 
         Returns (one tree per root, each row's final leaf as a node index of
-        its root's tree, per-root gain totals, per-root per-feature gains).
+        its root's tree, per-root per-feature gains).
         """
         n, f, lam = self.n, self.f, self.lam
-        n_roots, cap = self.n_roots, self.capacity
         inv_count = self.inv_count
-        # nodes are numbered across all roots: level by level, in layout
-        # order; each root's own numbering is recovered once the tree is done
+        cap = len(self.node_root)
         feature = np.full(cap, -1, dtype=np.int64)
         threshold = np.zeros(cap)
         left = np.full(cap, -1, dtype=np.int64)
         value = np.zeros(cap)
         counts = np.zeros(cap, dtype=np.int64)
-        node_root = np.empty(cap, dtype=np.int64)
         splittable = np.zeros(cap, dtype=bool)
-        value[:n_roots] = [residual[a:b].sum() / ((b - a) + lam) for a, b in self.blocks]
-        counts[:n_roots] = self.sizes
-        node_root[:n_roots] = np.arange(n_roots)
-        splittable[:n_roots] = self.sizes >= 2
-        n_nodes = n_roots
-        leaf = self.root_of_row
-        gain_by_feature = np.zeros((n_roots, f))
-        gain_total = np.zeros(n_roots)
-        root_cuts = np.arange(n_roots + 1)
+        value[self.first] = [residual[a:b].sum() / ((b - a) + lam) for a, b in self.blocks]
+        counts[self.first] = self.sizes
+        splittable[self.first] = self.sizes >= 2
+        next_id = self.first + 1  # each root's next free node id
+        leaf = self.root_node
+        gain_by_feature = np.zeros((self.n_roots, f))
 
         perm = self.sort_rows  # row ids in grouped layout; partitions never mutate it
         spare = self._perm_a
-        layout = np.arange(n_roots)  # node ids in layout order
+        layout = self.first  # node ids in layout order
 
         for depth in range(self.max_depth):
             g_counts = counts[layout]
@@ -193,11 +184,8 @@ class _TreeBuilder:
             cums = np.take(residual, perm, out=self._cums, mode="clip")
             for a, b in self.blocks:  # prefix sums restart at every root
                 np.cumsum(cums[:, a:b], axis=1, out=cums[:, a:b])
-            if depth == 0:
-                dr = self.dense0
-            else:
-                np.add(perm, self.rowoff, out=self._dr)
-                dr = np.take(self.rank_flat, self._dr, out=self._i1, mode="clip")
+            np.add(perm, self.rowoff, out=self._dr)
+            dr = np.take(self.rank_flat, self._dr, out=self._i1, mode="clip")
             base = cums[:, starts - 1]
             base[:, self.root_first[starts]] = 0.0
             tot = cums[:, ends] - base  # [f, m] exact per-feature segment sums
@@ -252,11 +240,13 @@ class _TreeBuilder:
             hit = gain.ravel()[(best_col * n)[gor] + self.rows] == best_gain[gor]
             pos_arr = np.minimum.reduceat(np.where(hit, self.rows, n), starts)[sel]
 
+            # a root's new children take its next ids, pairwise in layout order
             node_ids = layout[sel]
-            left_ids = n_nodes + 2 * np.arange(k)
+            sel_root = self.node_root[node_ids]
+            nth = np.arange(k) - np.searchsorted(sel_root, sel_root)
+            left_ids = next_id[sel_root] + 2 * nth
             right_ids = left_ids + 1
-            n_nodes += 2 * k
-            sel_root = node_root[node_ids]
+            next_id += 2 * np.bincount(sel_root, minlength=self.n_roots)
             cs = best_col[sel]
             lnn = pos_arr - starts[sel] + 1
             rnn = g_counts[sel] - lnn
@@ -271,17 +261,10 @@ class _TreeBuilder:
             value[right_ids] = rg_v / (rnn + lam)
             counts[left_ids] = lnn
             counts[right_ids] = rnn
-            node_root[left_ids] = sel_root
-            node_root[right_ids] = sel_root
             if depth + 1 < self.max_depth:
                 splittable[left_ids] = lnn >= 2
                 splittable[right_ids] = rnn >= 2
-            sel_gain = best_gain[sel]
-            np.add.at(gain_by_feature, (sel_root, cs), sel_gain)
-            cuts = np.searchsorted(sel_root, root_cuts).tolist()
-            for r, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-                if a < b:  # each root's sum over its own splits, as built alone
-                    gain_total[r] += float(sel_gain[a:b].sum())
+            np.add.at(gain_by_feature, (sel_root, cs), best_gain[sel])
 
             node_feat = feature[leaf]
             is_split = node_feat >= 0
@@ -321,25 +304,18 @@ class _TreeBuilder:
             # every split node is replaced in place by its two children
             widths = is_sel + 1
             layout = np.repeat(layout, widths)
-            layout[np.repeat(is_sel, widths)] = np.arange(left_ids[0], n_nodes)
+            layout[np.repeat(is_sel, widths)] = np.column_stack((left_ids, right_ids)).ravel()
 
-        # renumber each root's nodes 0.. in creation order, as built alone
-        order = np.argsort(node_root[:n_nodes], kind="stable")
-        per_root = np.bincount(node_root[:n_nodes], minlength=n_roots)
-        first = np.cumsum(per_root) - per_root
-        local = np.empty(n_nodes, dtype=np.int64)
-        local[order] = np.arange(n_nodes) - np.repeat(first, per_root)
-        kids = left[order]
-        is_internal = kids >= 0
-        left_local = np.where(is_internal, local[kids], -1)
-        right_local = np.where(is_internal, left_local + 1, -1)
-        feature, threshold, value = feature[order], threshold[order], value[order]
+        # root r's tree is the span first[r]:next_id[r], numbered from 0
+        offset = self.first[self.node_root]
+        left_local = np.where(left >= 0, left - offset, -1)
+        right_local = np.where(left >= 0, left_local + 1, -1)
         trees = [
             Tree(feature=feature[a:b], threshold=threshold[a:b], left=left_local[a:b],
                  right=right_local[a:b], value=value[a:b])
-            for a, b in zip(first.tolist(), (first + per_root).tolist())
+            for a, b in zip(self.first.tolist(), next_id.tolist())
         ]
-        return trees, local[leaf], gain_total, gain_by_feature
+        return trees, leaf - offset[leaf], gain_by_feature
 
 
 def gbt_fit(
@@ -403,8 +379,8 @@ def _fit_core(
     `(n_estimators,)`), one model per block equal bitwise to fitting that
     block alone with that many trees: there is no subsampling or early
     stopping, so a t-tree fit is the first t rounds of a longer one, and its
-    importances, gain total and losses are those rounds' running sums and
-    record. Inputs are trusted.
+    importances and losses are those rounds' running sums and record. Inputs
+    are trusted.
     """
     snapshots = (n_estimators,) if snapshots is None else tuple(snapshots)
     builder = _TreeBuilder(X, sizes, presort, max_depth, reg_lambda)
@@ -424,14 +400,13 @@ def _fit_core(
     taken: dict[int, list[GbtModel]] = {}
     for n_trees in range(1, n_estimators + 1):
         residual = y - pred
-        trees, leaf, gain_total, gain_by_feature = builder.build(residual)
+        trees, leaf, gain_by_feature = builder.build(residual)
         step = np.concatenate([t.value[leaf[a:b]] for t, (a, b) in zip(trees, blocks)])
         pred = pred + learning_rate * step
         sq_err = (y - pred) ** 2
         for k, (model, (a, b)) in enumerate(zip(models, blocks)):
             model.trees.append(trees[k])
             model.feature_importance += gain_by_feature[k]
-            model.total_gain += float(gain_total[k])
             model.train_losses.append(float(np.mean(sq_err[a:b])))
         if n_trees in snapshots:
             taken[n_trees] = [
