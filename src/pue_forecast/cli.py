@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -65,6 +66,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _fold_count(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"{value} is fewer than 2 folds")
+    return value
+
+
 def _fraction(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -97,8 +105,16 @@ def cmd_generate(args: argparse.Namespace) -> Manifest:
 
 
 def cmd_select_features(args: argparse.Namespace) -> Manifest:
+    bad = [lr for lr in args.lr if not (math.isfinite(lr) and lr > 0)]
+    if bad:
+        raise ValueError(f"--lr: learning_rate must be finite and positive, got {bad[0]!r}")
     ds = load_csv(args.input)
     train_ds, _test_ds = split_chronological(ds, args.split)
+    if args.folds > train_ds.n_samples:
+        raise ValueError(
+            f"--folds {args.folds} exceeds the {train_ds.n_samples} training rows "
+            f"that --split {args.split} leaves of {ds.n_samples} rows"
+        )
     norm = fit_normalizer(ds if args.fit_on_all else train_ds)
     nds = normalize(train_ds, norm)
     results = rfecv_grid(
@@ -123,7 +139,18 @@ def cmd_select_features(args: argparse.Namespace) -> Manifest:
 
 
 def cmd_tune(args: argparse.Namespace) -> Manifest:
+    bad = [lr for lr in args.lr if not (math.isfinite(lr) and lr >= 0)]
+    if bad:
+        raise ValueError(f"--lr: learning_rate must be finite and non-negative, got {bad[0]!r}")
+    if args.eval_every > args.max_epochs:
+        raise ValueError(f"--eval-every {args.eval_every} exceeds --max-epochs {args.max_epochs}")
     ds = load_csv(args.input)
+    for part, rows in zip(("training", "held-out"), split_chronological(ds, args.split)):
+        if args.window > rows.n_samples:
+            raise ValueError(
+                f"--window {args.window} exceeds the {rows.n_samples} rows of the {part} "
+                f"partition that --split {args.split} leaves of {ds.n_samples} rows"
+            )
     if args.features:
         feature_sets = load_feature_sets(args.features)
     else:
@@ -224,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", "-o", default="rfecv_out")
     p.add_argument("--top-k", type=_positive_int, default=6)
     p.add_argument("--step", type=_positive_int, default=1)
-    p.add_argument("--folds", type=_positive_int, default=5)
+    p.add_argument("--folds", type=_fold_count, default=5)
     p.add_argument("--split", type=_fraction, default=0.8)
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the manifest; selection is deterministic and "

@@ -92,6 +92,24 @@ class TestSelectFeatures:
         assert "learning_rate" in capsys.readouterr().err
         assert not (outdir / "feature_sets.json").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--folds", "200"],
+         "--folds 200 exceeds the 96 training rows that --split 0.8 leaves of 120 rows"),
+        (["--lr", "-1"], "--lr: learning_rate must be finite and positive, got -1.0"),
+    ], ids=["folds", "lr"])
+    def test_flag_errors_name_the_flag(self, small_csv, tmp_path, capsys, flags, message):
+        code = run_cli("select-features", "-i", str(small_csv), "-o", str(tmp_path / "sel"),
+                       "--lr", "0.1", "--trees", "3", "--depth", "2", *flags)
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_one_fold_is_a_usage_error(self, small_csv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("select-features", "-i", str(small_csv), "-o", str(tmp_path / "sel"),
+                    "--folds", "1")
+        assert exc.value.code == 2
+        assert "argument --folds: 1 is fewer than 2 folds" in capsys.readouterr().err
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = run_cli("select-features", "-i", str(tmp_path / "absent.csv"),
                        "-o", str(tmp_path / "out"))
@@ -159,6 +177,20 @@ class TestTune:
                        "--eval-every", "2")
         assert code == 1
         assert f"{sets}: entry 0: field 'selected_features'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--window", "30"], "--window 30 exceeds the 24 rows of the held-out partition "
+                             "that --split 0.8 leaves of 120 rows"),
+        (["--eval-every", "5"], "--eval-every 5 exceeds --max-epochs 2"),
+        (["--lr", "nan"], "--lr: learning_rate must be finite and non-negative, got nan"),
+    ], ids=["window", "eval_every", "lr"])
+    def test_flag_errors_name_the_flag(self, small_csv, tmp_path, capsys, flags, message):
+        code = run_cli("tune", "-i", str(small_csv), "-o", str(tmp_path / "tune"),
+                       "--mode", "gru", "--layers", "1", "--hidden", "2", "--lr", "0.02",
+                       "--max-epochs", "2", "--eval-every", "2", *flags)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "tune").exists()
 
     def test_all_configs_failed_is_an_error(self, small_csv, tmp_path, capsys):
         # a step of 1e300 overflows the next forward pass, so training diverges
