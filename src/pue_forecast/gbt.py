@@ -142,7 +142,6 @@ class _TreeBuilder:
         caps = [min(2 ** (max_depth + 1) - 1, max(2 * size - 1, 1)) for size in sizes]
         self.first = np.cumsum(caps) - caps
         self.node_root = np.repeat(np.arange(self.n_roots), caps)
-        self.root_node = np.repeat(self.first, self.sizes)  # of each row
 
     def build(self, residual: np.ndarray) -> tuple[list[Tree], np.ndarray, np.ndarray]:
         """Grow one tree per root on the stacked residuals.
@@ -163,7 +162,7 @@ class _TreeBuilder:
         counts[self.first] = self.sizes
         splittable[self.first] = self.sizes >= 2
         next_id = self.first + 1  # each root's next free node id
-        leaf = self.root_node
+        leaf = np.repeat(self.first, self.sizes)  # every row starts at its root
         gain_by_feature = np.zeros((self.n_roots, f))
 
         perm = self.sort_rows  # row ids in grouped layout; partitions never mutate it

@@ -47,6 +47,16 @@ class TestFit:
         assert m.trees[0].threshold[0] == thr
         assert np.mean((gbt_predict(m, X) - y) ** 2) < 1e-12
 
+    def test_ties_go_to_the_lowest_feature_then_the_lowest_threshold(self):
+        # columns 1 and 2 are equal, so their splits tie bitwise; column 1's
+        # two outer thresholds mirror each other and tie too
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        X = np.column_stack([np.zeros(4), x, x])
+        y = np.array([1.0, 0.0, 0.0, 1.0])
+        tree = gbt_fit(X, y, n_estimators=1, learning_rate=1.0, max_depth=1,
+                       reg_lambda=0.0).trees[0]
+        assert (tree.feature[0], tree.threshold[0]) == (1, 0.5)
+
     def test_training_loss_monotone(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(50, 4))
