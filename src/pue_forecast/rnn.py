@@ -28,12 +28,15 @@ tile runs on the caller's thread, where handing the GIL back and forth between
 small numpy calls would cost more than the overlap saves. The thread is joined
 also when either side raises, and an error in slot 1 reaches the caller.
 
-Every array a tile fills comes from its slot's Workspace: one block, allocated
-on the caller's thread before the second thread starts and reused by every
-tile of the slot. glibc gives each thread a malloc arena, and a new thread that
-starts before the last one has handed its arena back gets a fresh one; arrays
-allocated there would leave tens of MB resident in each arena, so peak memory
-would vary from run to run.
+Every array a tile fills comes from its slot's Workspace: one block, made on
+the caller's thread before the second thread starts and reused by every tile
+of the slot in every batch the runner runs, so a training run's held-out
+evaluations reuse the blocks of its epochs. A block is an anonymous page
+mapping, not heap memory, and goes back to the operating system when the last
+array carved from it goes. Heap blocks of this size would depend on glibc's
+per-thread malloc arenas and its rules for keeping freed memory, which left
+tens of MB resident after their runner was gone and made peak memory vary
+from run to run.
 
 One scan serves every entry point; a cell step is a one-step scan. It carries
 sequences time-major ([W, B, features]) and caches r, z, cand gate-major
@@ -53,6 +56,7 @@ the batch) backs the training loop, where only run-to-run determinism matters.
 from __future__ import annotations
 
 import math
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
@@ -281,26 +285,30 @@ class ModelCache:
 
 
 class Workspace:
-    """The arrays of forward passes (and, with `backward`, of their backward
-    passes too) over up to `rows` windows of `steps` steps, carved from one
-    block that is allocated here, on the thread that makes the workspace.
+    """The arrays of the passes in `needs`, (rows, backward) pairs: a forward
+    pass over up to `rows` windows of `steps` steps, and with `backward` its
+    backward pass too. They are carved from one block, page-mapped here, that
+    holds the largest need; a forward pass uses the front of the block, because
+    its arrays come before the backward pass's.
 
     Each forward_batch that uses it starts again at the front of the block,
     which ends the life of the arrays, the cache included, of the one before.
     """
 
-    def __init__(self, model: Model, steps: int, rows: int, backward: bool):
-        sizes: list[int] = []
+    def __init__(self, model: Model, steps: int, needs: list[tuple[int, bool]]):
+        def size(rows: int, backward: bool) -> int:
+            shapes: list[tuple] = []
+            _forward_buffers(model, steps, rows, shapes.append)
+            if backward:
+                _backward_buffers(model, steps, rows, shapes.append)
+            return sum(math.prod(shape) for shape in shapes)
 
-        def count(shape: tuple) -> None:
-            sizes.append(math.prod(shape))
-
-        _forward_buffers(model, steps, rows, count)
-        if backward:
-            _backward_buffers(model, steps, rows, count)
-        self._block = np.empty(sum(sizes))
+        n = max(size(rows, backward) for rows, backward in needs)
+        # an empty batch needs no values, but a mapping needs at least one byte
+        self._block = np.frombuffer(mmap.mmap(-1, 8 * max(n, 1)), dtype=np.float64)
         self._used = 0
         # where TileRunner.run sums the gradients of the workspace's tiles
+        backward = any(backward for _, backward in needs)
         self.grad_sum = [np.empty_like(a) for a in model.param_arrays()] if backward else None
 
     def restart(self) -> Take:
@@ -568,25 +576,32 @@ def _accumulate(total: Grads, grads: Grads, into: list | None) -> Grads:
 
 
 class TileRunner:
-    """The window tiles of a batch of B windows of `steps` steps and one
-    Workspace per slot, which this thread allocates; with `backward` the
-    workspaces hold a backward pass too. Tiles have near-equal sizes of at most
-    ceil(_TILE_ELEMENTS / H) rows, so they depend only on B and H, and a
-    runner serves every batch of the same shape (every epoch of a training run).
+    """Runs batches of windows of `steps` steps in window tiles, with one
+    Workspace per slot, which this thread allocates. `batches` lists the
+    (B, backward) of every batch size it will run, such as a training run's
+    epochs and its held-out evaluations, and each workspace holds the largest
+    tile of any of them. Tiles of B windows have near-equal sizes of at most
+    ceil(_TILE_ELEMENTS / H) rows, so they depend only on B and H.
     """
 
-    def __init__(self, model: Model, B: int, steps: int, backward: bool):
-        rows = -(-_TILE_ELEMENTS // max(layer.hidden_dim for layer in model.layers))
-        n = max(1, -(-B // rows))
-        bounds = [B * i // n for i in range(n + 1)]
-        self.tiles = list(zip(bounds, bounds[1:]))
-        self.workspaces = [Workspace(model, steps, -(-B // n), backward)
-                           for _ in range(min(n, 2))]
+    def __init__(self, model: Model, steps: int, batches: list[tuple[int, bool]]):
+        self._rows = -(-_TILE_ELEMENTS // max(layer.hidden_dim for layer in model.layers))
+        tiles = [(self.tiles(B), backward) for B, backward in batches]
+        needs = [(max(b - a for a, b in t), backward) for t, backward in tiles]
+        self.workspaces = [Workspace(model, steps, needs)
+                           for _ in range(min(2, max(len(t) for t, _ in tiles)))]
 
-    def run(self, tile: Callable[[Workspace, int, int], Grads]) -> Grads:
-        """Call tile(workspace, a, b) for every tile [a, b) and return the sum
-        of the gradient lists it returns, None for none; the sum is valid until
-        the next run.
+    def tiles(self, B: int) -> list[tuple[int, int]]:
+        """The tiles [a, b) of a batch of B windows."""
+        n = max(1, -(-B // self._rows))
+        bounds = [B * i // n for i in range(n + 1)]
+        return list(zip(bounds, bounds[1:]))
+
+    def run(self, B: int, tile: Callable[[Workspace, int, int], Grads]) -> Grads:
+        """Call tile(workspace, a, b) for every tile [a, b) of a batch of B
+        windows, one of the runner's batches, and return the sum of the
+        gradient lists it returns, None for none; the sum is valid until the
+        next run.
 
         Tile i runs in slot i % 2 with that slot's workspace: slot 0 on this
         thread, slot 1 meanwhile on a second thread, which is joined before
@@ -595,14 +610,16 @@ class TileRunner:
         tiles' lists in tile order into its workspace's grad_sum, and slot 1's
         sum is added to slot 0's."""
 
+        tiles = self.tiles(B)
+
         def run_slot(slot: int) -> Grads:
             workspace, total = self.workspaces[slot], None
-            for a, b in self.tiles[slot::2]:
+            for a, b in tiles[slot::2]:
                 # a tile's gradients are freed before the next tile allocates its own
                 total = _accumulate(total, tile(workspace, a, b), workspace.grad_sum)
             return total
 
-        if len(self.tiles) == 1:
+        if len(tiles) == 1:
             return run_slot(0)
         with ThreadPoolExecutor(max_workers=1) as pool:
             second = pool.submit(run_slot, 1)
@@ -613,14 +630,18 @@ class TileRunner:
         return _accumulate(total, more, self.workspaces[0].grad_sum)
 
 
-def predict_batch(model: Model, X: np.ndarray) -> np.ndarray:
+def predict_batch(model: Model, X: np.ndarray, runner: TileRunner | None = None) -> np.ndarray:
     """Predictions for a batch of windows via the grouping-invariant exact path,
-    tile by tile."""
+    tile by tile, in the workspaces of `runner`, which must list X's batch size
+    (a training run's runner lists its held-out set), or of one made for X."""
     X = _windows(model, X)
-    pred = np.empty(X.shape[0])
+    B = X.shape[0]
+    pred = np.empty(B)
 
     def tile(workspace: Workspace, a: int, b: int) -> None:
         pred[a:b] = forward_batch(model, X[a:b], exact=True, workspace=workspace)[0]
 
-    TileRunner(model, X.shape[0], X.shape[1], backward=False).run(tile)
+    if runner is None:
+        runner = TileRunner(model, X.shape[1], [(B, False)])
+    runner.run(B, tile)
     return pred

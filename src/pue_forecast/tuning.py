@@ -2,9 +2,10 @@
 
 Training is full-batch: every epoch applies one Adam step with the gradient of
 the mean squared error over all training windows, which rnn.TileRunner forms
-window tile by window tile. Held-out metrics are computed on a fixed cadence
-and the checkpoint keeps the parameters of the best evaluation seen, never the
-final epoch's weights.
+window tile by window tile; the held-out evaluations run in the same runner's
+workspaces. Held-out metrics are computed on a fixed cadence and the
+checkpoint keeps the parameters of the best evaluation seen, never the final
+epoch's weights.
 """
 
 from __future__ import annotations
@@ -328,7 +329,8 @@ def train(
     X = ws_train.windows
     y = ws_train.targets
     B = ws_train.n_windows
-    runner = TileRunner(model, B, cfg.window, backward=cfg.learning_rate > 0.0)
+    runner = TileRunner(model, cfg.window,
+                        [(B, cfg.learning_rate > 0.0), (ws_eval.n_windows, False)])
     pred = np.empty(B)
 
     def tile(workspace, a: int, b: int) -> list[np.ndarray] | None:
@@ -352,7 +354,7 @@ def train(
     last_finite = np.nan
 
     for epoch in range(1, cfg.max_epochs + 1):
-        garrs = runner.run(tile)
+        garrs = runner.run(B, tile)
         err = pred - y
         with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
             loss = float(np.mean(err * err))
@@ -378,7 +380,7 @@ def train(
             )
 
         if epoch % cfg.eval_every == 0:
-            ev_pred = predict_batch(model, ws_eval.windows)
+            ev_pred = predict_batch(model, ws_eval.windows, runner)
             rep = evaluate(ws_eval.targets, ev_pred)
             history.evals.append(EvalRecord(epoch, rep.mse, rep.mae, rep.r2))
             log.debug(
@@ -402,7 +404,8 @@ def train(
         normalization=normalization,
     )
     if best_metrics is None:  # checkpointed on training loss: score the kept params
-        best_metrics = evaluate(ws_eval.targets, checkpoint.predict(ws_eval.windows))
+        best_metrics = evaluate(
+            ws_eval.targets, predict_batch(checkpoint.to_model(), ws_eval.windows, runner))
     checkpoint.metrics = {
         "mse": best_metrics.mse, "mae": best_metrics.mae, "r2": best_metrics.r2
     }

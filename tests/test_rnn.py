@@ -1,11 +1,13 @@
+import mmap
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import Future
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -256,9 +258,10 @@ class _Inline:
         return done
 
 
-def tiled_step(model, X, y):
+def tiled_step(model, X, y, runner=None):
     """Loss, predictions and summed gradient arrays of the mean squared error,
-    each tile forwarded and backpropagated in turn, as tuning.train does."""
+    each tile forwarded and backpropagated in turn, as tuning.train does, in
+    `runner` or in one made for X."""
     B = X.shape[0]
     pred = np.empty(B)
 
@@ -266,7 +269,9 @@ def tiled_step(model, X, y):
         pred[a:b], cache = forward_batch(model, X[a:b], exact=False, workspace=workspace)
         return backward_batch(model, cache, 2.0 * (pred[a:b] - y[a:b]) / B).param_arrays()
 
-    grads = rnn.TileRunner(model, B, X.shape[1], backward=True).run(tile)
+    if runner is None:
+        runner = rnn.TileRunner(model, X.shape[1], [(B, True)])
+    grads = runner.run(B, tile)
     return float(np.mean((pred - y) ** 2)), pred, grads
 
 
@@ -298,7 +303,7 @@ class TestTileRunner:
         X = rng.standard_normal((batch, length, n_features))
         d_pred = rng.standard_normal(batch)
         want_pred, want_grads = serial_cells(model, X, d_pred, exact)
-        for workspace in (None, rnn.Workspace(model, length, batch, backward=True)):
+        for workspace in (None, rnn.Workspace(model, length, [(batch, True)])):
             pred, cache = forward_batch(model, X, exact=exact, workspace=workspace)
             assert np.array_equal(pred, want_pred)
             grads = backward_batch(model, cache, d_pred).param_arrays()
@@ -342,13 +347,60 @@ class TestTileRunner:
         assert inline[0] == loss and np.array_equal(inline[1], pred)
         assert all(np.array_equal(g, w) for g, w in zip(inline[2], grads))
 
+    @settings(deadline=None, max_examples=25)
+    @given(
+        mode=st.sampled_from(["gru", "bigru"]),
+        layers=st.integers(1, 3),
+        hidden=st.integers(1, 64),
+        n_features=st.integers(1, 5),
+        length=st.integers(1, 6),
+        n_train=st.integers(1, 700),
+        n_eval=st.integers(2, 700),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(mode="bigru", layers=2, hidden=50, n_features=3, length=6, n_train=1,
+             n_eval=700, seed=0)  # an evaluation tile of 234 windows, a training tile of 1
+    def test_evaluation_in_a_training_runner_is_bitwise_standalone(
+            self, mode, layers, hidden, n_features, length, n_train, n_eval, seed):
+        """Predictions made in the workspaces of a runner that also trains, between
+        its training steps, equal a standalone predict_batch bitwise, and the
+        training steps equal those of a runner that only trains."""
+        model = init_params(n_features, hidden, layers, mode, seed=seed)
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n_train, length, n_features))
+        y = rng.standard_normal(n_train)
+        X_eval = rng.standard_normal((n_eval, length, n_features))
+        runner = rnn.TileRunner(model, length, [(n_train, True), (n_eval, False)])
+        want_step = tiled_step(model, X, y)
+        for _ in range(2):
+            loss, pred, grads = tiled_step(model, X, y, runner)
+            assert loss == want_step[0] and np.array_equal(pred, want_step[1])
+            assert all(np.array_equal(g, w) for g, w in zip(grads, want_step[2]))
+            assert np.array_equal(predict_batch(model, X_eval, runner),
+                                  predict_batch(model, X_eval))
+
+    def test_dropping_a_runner_releases_its_mappings(self):
+        """Each workspace block is a page mapping of its own, unmapped as soon
+        as the runner and the arrays carved from its blocks are gone."""
+        model = init_params(8, 50, 2, "bigru", seed=3)
+        X = np.random.default_rng(4).standard_normal((700, 6, 8))
+        runner = rnn.TileRunner(model, 6, [(2395, True), (700, False)])
+        maps = [w._block.base.obj for w in runner.workspaces]
+        assert len(maps) == 2 and all(isinstance(m, mmap.mmap) for m in maps)
+        refs = [weakref.ref(m) for m in maps]
+        predict_batch(model, X, runner)
+        del maps
+        assert all(r() is not None for r in refs)
+        del runner
+        assert all(r() is None for r in refs)
+
     def test_tiles_are_near_equal_and_follow_b_and_h(self):
         model = init_params(8, 50, 2, "bigru", seed=0)
-        assert rnn.TileRunner(model, 328, 6, backward=False).tiles == [(0, 328)]
-        sizes = [b - a for a, b in rnn.TileRunner(model, 2395, 6, backward=False).tiles]
+        assert rnn.TileRunner(model, 6, [(328, False)]).tiles(328) == [(0, 328)]
+        sizes = [b - a for a, b in rnn.TileRunner(model, 6, [(2395, False)]).tiles(2395)]
         assert sizes == [299, 299, 300, 299, 299, 300, 299, 300]
-        runner = rnn.TileRunner(model, 1000, 6, backward=False)
-        assert [b - a for a, b in runner.tiles] == [250] * 4
+        runner = rnn.TileRunner(model, 6, [(1000, False)])
+        assert [b - a for a, b in runner.tiles(1000)] == [250] * 4
         assert len(runner.workspaces) == 2
 
     @pytest.mark.parametrize("kernel", ["_gru_scan", "_gru_scan_backward"])
@@ -406,9 +458,10 @@ class TestTileRunner:
 
     def test_training_step_memory_follows_the_tile_not_the_batch(self):
         """A training step allocates as many bytes at peak for 2 tiles as for
-        20 tiles of the same size, counted by tracemalloc, which sees every
-        numpy allocation. Python objects (the tile list, free lists) add a few
-        KB for more tiles; one tile's gradient arrays alone are 385 KB here."""
+        20 tiles of the same size: the peak tracemalloc counts, which sees every
+        numpy allocation but not the page-mapped workspace blocks, plus the
+        bytes of those blocks. Python objects (the tile list, free lists) add a
+        few KB for more tiles; one tile's gradient arrays alone are 385 KB here."""
         model = init_params(8, 50, 2, "bigru", seed=3)
         rows = -(-rnn._TILE_ELEMENTS // 50)
         rng = np.random.default_rng(4)
@@ -426,8 +479,10 @@ class TestTileRunner:
 
             tracemalloc.start()
             try:
-                rnn.TileRunner(model, B, 6, backward=True).run(tile)
-                return tracemalloc.get_traced_memory()[1]
+                runner = rnn.TileRunner(model, 6, [(B, True)])
+                runner.run(B, tile)
+                blocks = sum(w._block.nbytes for w in runner.workspaces)
+                return tracemalloc.get_traced_memory()[1] + blocks
             finally:
                 tracemalloc.stop()
 

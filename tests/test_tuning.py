@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pue_forecast import rnn, tuning
 from pue_forecast.dataset import (
     NormalizationParams,
     WindowedSet,
@@ -158,6 +159,34 @@ class TestTrain:
         pred, _ = forward_batch(ckpt.to_model(), ws_tr.windows, exact=False)
         err = pred - ws_tr.targets
         assert float(np.mean(err * err)) == ckpt.best_loss
+
+    @pytest.mark.parametrize("on_train_loss, lr", [(False, 0.01), (True, 0.01), (False, 0.0)])
+    def test_workspaces_are_built_once(self, monkeypatch, on_train_loss, lr):
+        """One train call makes one runner, with a workspace per slot, and its
+        evaluations and final scoring run in them; without a learning rate the
+        runner is forward only."""
+        runners, made = [], []
+        real_runner, real_workspace = rnn.TileRunner.__init__, rnn.Workspace.__init__
+
+        def runner_init(self, *args, **kwargs):
+            runners.append(self)
+            real_runner(self, *args, **kwargs)
+
+        def workspace_init(self, *args, **kwargs):
+            made.append(self)
+            real_workspace(self, *args, **kwargs)
+
+        monkeypatch.setattr(rnn.TileRunner, "__init__", runner_init)
+        monkeypatch.setattr(rnn.Workspace, "__init__", workspace_init)
+        monkeypatch.setattr(rnn, "_TILE_ELEMENTS", 8 * 3)  # tiles of 8 windows
+        ws_tr, ws_te, _, _ = make_windowed()
+        cfg = TrainConfig(layers=1, hidden_dim=3, learning_rate=lr, max_epochs=4,
+                          eval_every=1, mode="bigru", seed=4, window=4,
+                          checkpoint_on_train_loss=on_train_loss)
+        train(ws_tr, ws_te, cfg)
+        assert len(runners) == 1 and made == runners[0].workspaces
+        assert len(made) == 2
+        assert all((w.grad_sum is None) == (lr == 0.0) for w in made)
 
     def test_divergence_detection(self):
         w = np.zeros((2, 3, 2))
@@ -379,6 +408,36 @@ class TestGridSearch:
             assert np.array_equal(
                 serial.checkpoints[si].params, parallel.checkpoints[si].params
             )
+
+    @pytest.mark.parametrize("on_train_loss", [False, True])
+    def test_evaluation_in_the_training_runner_changes_no_byte(
+            self, monkeypatch, tmp_path, on_train_loss):
+        """Records and winner checkpoints are byte-identical to those of
+        evaluating in a runner made for each evaluation, including where a
+        held-out tile is larger than a training tile."""
+        ds = generate_synthetic(90, 3, 1, seed=15)
+        monkeypatch.setattr(rnn, "_TILE_ELEMENTS", 8 * 3)
+
+        def files(tag, **kwargs):
+            report = grid_search(
+                ds, [list(ds.feature_names), ["it_power_kw", "outdoor_temp_c"]], mode="bigru",
+                layers_grid=(1, 2), hidden_grid=(3, 1), lr_grid=(0.02, 0.0),
+                window_length=4, max_epochs=6, eval_every=2, seed=3,
+                checkpoint_on_train_loss=on_train_loss, **kwargs)
+            paths = [tmp_path / f"{tag}-records.csv"]
+            report.to_records_csv(paths[0])
+            for si, ckpt in report.checkpoints.items():
+                paths.append(tmp_path / f"{tag}-{si}.json")
+                ckpt.save(paths[-1])
+            return [p.read_bytes() for p in paths]
+
+        shared = files("shared")
+        few_train = files("few-train", train_fraction=0.2)  # 15 training, 69 held-out windows
+        standalone = rnn.predict_batch
+        monkeypatch.setattr(tuning, "predict_batch",
+                            lambda model, X, runner=None: standalone(model, X))
+        assert files("shared") == shared
+        assert files("few-train", train_fraction=0.2) == few_train
 
     def test_winners_and_best(self):
         ds = generate_synthetic(80, 3, 1, seed=15)
