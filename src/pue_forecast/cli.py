@@ -95,6 +95,9 @@ Manifest = tuple[Path, list[str], list[str]]  # (manifest path, inputs, outputs)
 
 
 def cmd_generate(args: argparse.Namespace) -> Manifest:
+    if args.informative < 3:
+        raise ValueError(f"--informative {args.informative} is fewer than the 3 channels "
+                         "of IT power, cooling power and outdoor temperature")
     ds = generate_synthetic(args.samples, args.informative, args.noise, args.seed)
     out = Path(args.output)
     if out.parent and not out.parent.exists():
@@ -144,6 +147,8 @@ def cmd_tune(args: argparse.Namespace) -> Manifest:
         raise ValueError(f"--lr: learning_rate must be finite and non-negative, got {bad[0]!r}")
     if args.eval_every > args.max_epochs:
         raise ValueError(f"--eval-every {args.eval_every} exceeds --max-epochs {args.max_epochs}")
+    if args.grad_clip is not None and not args.grad_clip > 0:
+        raise ValueError(f"--grad-clip must be positive, got {args.grad_clip!r}")
     ds = load_csv(args.input)
     for part, rows in zip(("training", "held-out"), split_chronological(ds, args.split)):
         if args.window > rows.n_samples:

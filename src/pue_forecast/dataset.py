@@ -137,14 +137,17 @@ class NormalizationParams:
 
 @dataclass(frozen=True)
 class WindowedSet:
-    """Sliding windows of length W with the target taken at each window's last step."""
+    """Sliding windows of length W with the target taken at each window's last
+    step; `windows` is kept as a read-only view, so windows share their rows."""
 
     windows: np.ndarray  # [n_windows, W, n_features]
     targets: np.ndarray  # [n_windows]
     window_length: int
 
     def __post_init__(self):
-        object.__setattr__(self, "windows", _frozen(self.windows))
+        windows = np.asarray(self.windows, dtype=np.float64).view()
+        windows.setflags(write=False)
+        object.__setattr__(self, "windows", windows)
         object.__setattr__(self, "targets", _frozen(self.targets).reshape(-1))
         if self.windows.ndim != 3:
             raise ValueError("windows tensor must be 3-D")
@@ -459,11 +462,9 @@ def window(ds: Dataset, W: int) -> WindowedSet:
         raise ValueError(
             f"window length {W} exceeds sample count {ds.n_samples}"
         )
-    n_windows = ds.n_samples - W + 1
     view = np.lib.stride_tricks.sliding_window_view(ds.X, W, axis=0)
     # view is [n_windows, n_features, W]; reorder to [n_windows, W, n_features]
-    windows = np.ascontiguousarray(view.transpose(0, 2, 1))
-    return WindowedSet(windows, ds.y[W - 1 :], W)
+    return WindowedSet(view.transpose(0, 2, 1), ds.y[W - 1 :], W)
 
 
 def split_chronological(ds: Dataset, train_fraction: float) -> tuple[Dataset, Dataset]:

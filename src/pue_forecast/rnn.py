@@ -33,7 +33,10 @@ the caller's thread before the second thread starts and reused by every tile
 of the slot in every batch the runner runs, so a training run's held-out
 evaluations reuse the blocks of its epochs. A block is an anonymous page
 mapping, not heap memory, and goes back to the operating system when the last
-array carved from it goes. Heap blocks of this size would depend on glibc's
+array carved from it goes. It is sized for one full tile with its backward
+pass, so a runner depends only on the model and the window length: a smaller
+or a forward-only tile touches the front of the block, and pages never touched
+never become resident. Heap blocks of this size would depend on glibc's
 per-thread malloc arenas and its rules for keeping freed memory, which left
 tens of MB resident after their runner was gone and made peak memory vary
 from run to run.
@@ -285,31 +288,23 @@ class ModelCache:
 
 
 class Workspace:
-    """The arrays of the passes in `needs`, (rows, backward) pairs: a forward
-    pass over up to `rows` windows of `steps` steps, and with `backward` its
-    backward pass too. They are carved from one block, page-mapped here, that
-    holds the largest need; a forward pass uses the front of the block, because
-    its arrays come before the backward pass's.
+    """The arrays of a forward and a backward pass over a tile of up to `rows`
+    windows of `steps` steps, carved in that order from one page-mapped block,
+    so a smaller tile or a forward pass alone uses the front of the block.
 
     Each forward_batch that uses it starts again at the front of the block,
     which ends the life of the arrays, the cache included, of the one before.
     """
 
-    def __init__(self, model: Model, steps: int, needs: list[tuple[int, bool]]):
-        def size(rows: int, backward: bool) -> int:
-            shapes: list[tuple] = []
-            _forward_buffers(model, steps, rows, shapes.append)
-            if backward:
-                _backward_buffers(model, steps, rows, shapes.append)
-            return sum(math.prod(shape) for shape in shapes)
-
-        n = max(size(rows, backward) for rows, backward in needs)
-        # an empty batch needs no values, but a mapping needs at least one byte
-        self._block = np.frombuffer(mmap.mmap(-1, 8 * max(n, 1)), dtype=np.float64)
+    def __init__(self, model: Model, steps: int, rows: int):
+        shapes: list[tuple] = []
+        _forward_buffers(model, steps, rows, shapes.append)
+        _backward_buffers(model, steps, rows, shapes.append)
+        n = sum(math.prod(shape) for shape in shapes)
+        self._block = np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
         self._used = 0
         # where TileRunner.run sums the gradients of the workspace's tiles
-        backward = any(backward for _, backward in needs)
-        self.grad_sum = [np.empty_like(a) for a in model.param_arrays()] if backward else None
+        self.grad_sum = [np.empty_like(a) for a in model.param_arrays()]
 
     def restart(self) -> Take:
         """Hand out the block from its front again; returns self.take."""
@@ -561,7 +556,7 @@ def model_backward(model: Model, caches: ModelCache, dLoss_dPred: float) -> Mode
     return backward_batch(model, caches, np.array([float(dLoss_dPred)]))
 
 
-def _accumulate(total: Grads, grads: Grads, into: list | None) -> Grads:
+def _accumulate(total: Grads, grads: Grads, into: list) -> Grads:
     """total + grads, summed in place; a None total starts as a copy of grads
     in the arrays `into`, and None grads leave total as it is."""
     if grads is not None:
@@ -577,19 +572,14 @@ def _accumulate(total: Grads, grads: Grads, into: list | None) -> Grads:
 
 class TileRunner:
     """Runs batches of windows of `steps` steps in window tiles, with one
-    Workspace per slot, which this thread allocates. `batches` lists the
-    (B, backward) of every batch size it will run, such as a training run's
-    epochs and its held-out evaluations, and each workspace holds the largest
-    tile of any of them. Tiles of B windows have near-equal sizes of at most
-    ceil(_TILE_ELEMENTS / H) rows, so they depend only on B and H.
+    Workspace per slot, which this thread allocates. Tiles of B windows have
+    near-equal sizes of at most ceil(_TILE_ELEMENTS / H) rows, so they depend
+    only on B and H, and a workspace of that many rows fits any of them.
     """
 
-    def __init__(self, model: Model, steps: int, batches: list[tuple[int, bool]]):
+    def __init__(self, model: Model, steps: int):
         self._rows = -(-_TILE_ELEMENTS // max(layer.hidden_dim for layer in model.layers))
-        tiles = [(self.tiles(B), backward) for B, backward in batches]
-        needs = [(max(b - a for a, b in t), backward) for t, backward in tiles]
-        self.workspaces = [Workspace(model, steps, needs)
-                           for _ in range(min(2, max(len(t) for t, _ in tiles)))]
+        self.workspaces = [Workspace(model, steps, self._rows) for _ in range(2)]
 
     def tiles(self, B: int) -> list[tuple[int, int]]:
         """The tiles [a, b) of a batch of B windows."""
@@ -599,9 +589,8 @@ class TileRunner:
 
     def run(self, B: int, tile: Callable[[Workspace, int, int], Grads]) -> Grads:
         """Call tile(workspace, a, b) for every tile [a, b) of a batch of B
-        windows, one of the runner's batches, and return the sum of the
-        gradient lists it returns, None for none; the sum is valid until the
-        next run.
+        windows and return the sum of the gradient lists it returns, None for
+        none; the sum is valid until the next run.
 
         Tile i runs in slot i % 2 with that slot's workspace: slot 0 on this
         thread, slot 1 meanwhile on a second thread, which is joined before
@@ -632,8 +621,8 @@ class TileRunner:
 
 def predict_batch(model: Model, X: np.ndarray, runner: TileRunner | None = None) -> np.ndarray:
     """Predictions for a batch of windows via the grouping-invariant exact path,
-    tile by tile, in the workspaces of `runner`, which must list X's batch size
-    (a training run's runner lists its held-out set), or of one made for X."""
+    tile by tile, in the workspaces of `runner` (such as a training run's) or
+    of one made for X."""
     X = _windows(model, X)
     B = X.shape[0]
     pred = np.empty(B)
@@ -642,6 +631,6 @@ def predict_batch(model: Model, X: np.ndarray, runner: TileRunner | None = None)
         pred[a:b] = forward_batch(model, X[a:b], exact=True, workspace=workspace)[0]
 
     if runner is None:
-        runner = TileRunner(model, X.shape[1], [(B, False)])
+        runner = TileRunner(model, X.shape[1])
     runner.run(B, tile)
     return pred

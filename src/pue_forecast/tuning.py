@@ -329,8 +329,7 @@ def train(
     X = ws_train.windows
     y = ws_train.targets
     B = ws_train.n_windows
-    runner = TileRunner(model, cfg.window,
-                        [(B, cfg.learning_rate > 0.0), (ws_eval.n_windows, False)])
+    runner = TileRunner(model, cfg.window)
     pred = np.empty(B)
 
     def tile(workspace, a: int, b: int) -> list[np.ndarray] | None:

@@ -40,6 +40,12 @@ class TestGenerate:
         assert len(header) == 34
         assert header[0] == "timestamp" and header[-1] == "PUE"
 
+    def test_too_few_informative_channels_names_the_flag(self, tmp_path, capsys):
+        assert run_cli("generate", "--informative", "2", "-o", str(tmp_path / "x.csv")) == 1
+        assert ("--informative 2 is fewer than the 3 channels of IT power, cooling power "
+                "and outdoor temperature") in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_zero_samples_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("generate", "--samples", "0", "-o", str(tmp_path / "x.csv"))
@@ -183,7 +189,10 @@ class TestTune:
                              "that --split 0.8 leaves of 120 rows"),
         (["--eval-every", "5"], "--eval-every 5 exceeds --max-epochs 2"),
         (["--lr", "nan"], "--lr: learning_rate must be finite and non-negative, got nan"),
-    ], ids=["window", "eval_every", "lr"])
+        (["--grad-clip", "0"], "--grad-clip must be positive, got 0.0"),
+        (["--grad-clip", "-1"], "--grad-clip must be positive, got -1.0"),
+        (["--grad-clip", "nan"], "--grad-clip must be positive, got nan"),
+    ], ids=["window", "eval_every", "lr", "grad_clip_0", "grad_clip_-1", "grad_clip_nan"])
     def test_flag_errors_name_the_flag(self, small_csv, tmp_path, capsys, flags, message):
         code = run_cli("tune", "-i", str(small_csv), "-o", str(tmp_path / "tune"),
                        "--mode", "gru", "--layers", "1", "--hidden", "2", "--lr", "0.02",

@@ -10,6 +10,7 @@ from oracles import loop_train_rows, loop_windows
 from pue_forecast.dataset import (
     CsvFormatError,
     Dataset,
+    WindowedSet,
     denormalize,
     denormalize_target,
     fit_normalizer,
@@ -376,6 +377,19 @@ class TestWindowing:
     def test_window_too_long(self):
         with pytest.raises(ValueError, match="exceeds"):
             window(self._ds(4), 5)
+
+    def test_windows_are_a_read_only_view_of_the_rows(self):
+        ds = self._ds(10)
+        ws = window(ds, 4)
+        assert np.shares_memory(ws.windows, ds.X)
+        with pytest.raises(ValueError):
+            ws.windows[0, 0, 0] = 99.0
+        with pytest.raises(ValueError):
+            ws.targets[0] = 99.0
+        rows = np.zeros((2, 3, 1))
+        made = WindowedSet(rows, np.zeros(2), 3)
+        assert np.shares_memory(made.windows, rows)
+        assert rows.flags.writeable and not made.windows.flags.writeable
 
 
 class TestSplit:

@@ -163,8 +163,7 @@ class TestTrain:
     @pytest.mark.parametrize("on_train_loss, lr", [(False, 0.01), (True, 0.01), (False, 0.0)])
     def test_workspaces_are_built_once(self, monkeypatch, on_train_loss, lr):
         """One train call makes one runner, with a workspace per slot, and its
-        evaluations and final scoring run in them; without a learning rate the
-        runner is forward only."""
+        evaluations and final scoring run in them."""
         runners, made = [], []
         real_runner, real_workspace = rnn.TileRunner.__init__, rnn.Workspace.__init__
 
@@ -186,7 +185,6 @@ class TestTrain:
         train(ws_tr, ws_te, cfg)
         assert len(runners) == 1 and made == runners[0].workspaces
         assert len(made) == 2
-        assert all((w.grad_sum is None) == (lr == 0.0) for w in made)
 
     def test_divergence_detection(self):
         w = np.zeros((2, 3, 2))
