@@ -22,6 +22,7 @@ from . import __version__
 from .dataset import (
     TARGET_COLUMN,
     TIMESTAMP_COLUMN,
+    Dataset,
     denormalize_target,
     fit_normalizer,
     generate_synthetic,
@@ -112,6 +113,9 @@ def cmd_select_features(args: argparse.Namespace) -> Manifest:
     if bad:
         raise ValueError(f"--lr: learning_rate must be finite and positive, got {bad[0]!r}")
     ds = load_csv(args.input)
+    if ds.n_features < 2:
+        raise ValueError(f"{args.input}: {ds.n_features} feature column(s); "
+                         "select-features needs at least 2")
     train_ds, _test_ds = split_chronological(ds, args.split)
     if args.folds > train_ds.n_samples:
         raise ValueError(
@@ -141,6 +145,13 @@ def cmd_select_features(args: argparse.Namespace) -> Manifest:
     return outdir / "manifest.json", [args.input], [str(sets_path), str(curve_path)]
 
 
+def _require_columns(ds: Dataset, path: str, names: list[str], user: str) -> None:
+    """Fail naming the CSV at `path` and `user` when `ds` lacks a column of `names`."""
+    missing = [c for c in names if c not in ds.feature_names]
+    if missing:
+        raise ValueError(f"{path}: missing feature column(s) required by {user}: {missing}")
+
+
 def cmd_tune(args: argparse.Namespace) -> Manifest:
     bad = [lr for lr in args.lr if not (math.isfinite(lr) and lr >= 0)]
     if bad:
@@ -150,14 +161,20 @@ def cmd_tune(args: argparse.Namespace) -> Manifest:
     if args.grad_clip is not None and not args.grad_clip > 0:
         raise ValueError(f"--grad-clip must be positive, got {args.grad_clip!r}")
     ds = load_csv(args.input)
-    for part, rows in zip(("training", "held-out"), split_chronological(ds, args.split)):
-        if args.window > rows.n_samples:
+    # training needs one window; the held-out metrics need two
+    parts = zip(("training", "held-out"), split_chronological(ds, args.split), (1, 2))
+    for part, rows, need in parts:
+        most = rows.n_samples - need + 1
+        if args.window > most:
             raise ValueError(
-                f"--window {args.window} exceeds the {rows.n_samples} rows of the {part} "
-                f"partition that --split {args.split} leaves of {ds.n_samples} rows"
+                f"--window {args.window} exceeds {most}, the longest that cuts {need} "
+                f"window(s) from the {rows.n_samples} rows of the {part} partition that "
+                f"--split {args.split} leaves of {ds.n_samples} rows"
             )
     if args.features:
         feature_sets = load_feature_sets(args.features)
+        for i, names in enumerate(feature_sets):
+            _require_columns(ds, args.input, names, f"{args.features} entry {i}")
     else:
         feature_sets = [list(ds.feature_names)]
     report = grid_search(
@@ -203,18 +220,8 @@ def cmd_tune(args: argparse.Namespace) -> Manifest:
 
 def cmd_predict(args: argparse.Namespace) -> Manifest:
     ckpt = Checkpoint.load(args.checkpoint)
-    if ckpt.feature_names is None or ckpt.normalization is None:
-        raise ValueError(
-            f"{args.checkpoint}: checkpoint lacks stored feature names or "
-            f"normalization parameters"
-        )
     ds = load_csv(args.input)
-    missing = [c for c in ckpt.feature_names if c not in ds.feature_names]
-    if missing:
-        raise ValueError(
-            f"{args.input}: missing feature column(s) required by the "
-            f"checkpoint: {missing}"
-        )
+    _require_columns(ds, args.input, ckpt.feature_names, "the checkpoint")
     sub = ds.select(ckpt.feature_names)
     nds = normalize(sub, ckpt.normalization)
     W = ckpt.config.window

@@ -43,8 +43,10 @@ class CsvFormatError(ValueError):
     """Malformed telemetry CSV; message carries row/column location."""
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=np.float64)
+def _frozen(a) -> np.ndarray:
+    """A read-only float64 view of `a`, copied only from another dtype, so the
+    caller's own array stays writable."""
+    out = np.asarray(a, dtype=np.float64).view()
     out.setflags(write=False)
     return out
 
@@ -54,8 +56,8 @@ class Dataset:
     """A feature matrix with named columns, timestamps and a PUE target.
 
     Rows are in chronological order; construction validates shape
-    consistency, name uniqueness and finiteness. Instances are read-only
-    and safe to share across workers.
+    consistency, name uniqueness and finiteness. Instances keep read-only
+    views of the given arrays and are safe to share across workers.
     """
 
     feature_names: list[str]
@@ -65,7 +67,7 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "X", _frozen(np.atleast_2d(self.X)))
-        object.__setattr__(self, "y", _frozen(self.y).reshape(-1))
+        object.__setattr__(self, "y", _frozen(np.reshape(self.y, -1)))
         n, f = self.X.shape
         if len(self.y) != n or len(self.timestamps) != n:
             raise ValueError(
@@ -101,7 +103,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class NormalizationParams:
-    """Per-feature and per-target min/max fitted on the training partition."""
+    """Per-feature and per-target min/max fitted on the training partition.
+
+    `feature_names` are a model's input columns in input order; a checkpoint
+    keeps no other record of them.
+    """
 
     feature_names: list[str]
     feature_min: np.ndarray
@@ -110,11 +116,18 @@ class NormalizationParams:
     target_max: float
 
     def __post_init__(self):
+        names = self.feature_names
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+                and len(set(names)) == len(names)):
+            raise ValueError(f"feature_names must be a list of distinct strings, got {names!r}")
         for name in ("feature_min", "feature_max"):
             values = np.asarray(getattr(self, name))
-            if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
-                raise ValueError(f"{name} must hold only finite numbers")
-            object.__setattr__(self, name, _frozen(values).reshape(-1))
+            if (values.dtype.kind not in "iuf" or values.shape != (len(names),)
+                    or not np.isfinite(values).all()):
+                raise ValueError(
+                    f"{name} must hold {len(names)} finite numbers, one per feature name"
+                )
+            object.__setattr__(self, name, _frozen(values))
         for name in ("target_min", "target_max"):
             if not is_finite_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
@@ -145,10 +158,8 @@ class WindowedSet:
     window_length: int
 
     def __post_init__(self):
-        windows = np.asarray(self.windows, dtype=np.float64).view()
-        windows.setflags(write=False)
-        object.__setattr__(self, "windows", windows)
-        object.__setattr__(self, "targets", _frozen(self.targets).reshape(-1))
+        object.__setattr__(self, "windows", _frozen(self.windows))
+        object.__setattr__(self, "targets", _frozen(np.reshape(self.targets, -1)))
         if self.windows.ndim != 3:
             raise ValueError("windows tensor must be 3-D")
         if self.windows.shape[0] != len(self.targets):

@@ -153,13 +153,20 @@ class Checkpoint:
     """Serialized best model plus everything needed to reproduce its predictions."""
 
     config: TrainConfig
-    n_features: int
     params: np.ndarray  # flat float64, row-major per shape manifest
     best_epoch: int
     best_loss: float
     metrics: dict
-    feature_names: list[str] | None = None
-    normalization: NormalizationParams | None = None
+    normalization: NormalizationParams
+
+    @property
+    def feature_names(self) -> list[str]:
+        """The model's input columns in input order."""
+        return self.normalization.feature_names
+
+    @property
+    def n_features(self) -> int:
+        return len(self.normalization.feature_names)
 
     @property
     def shapes(self) -> list[tuple[str, tuple[int, ...]]]:
@@ -193,7 +200,7 @@ class Checkpoint:
             "best_loss": self.best_loss,
             "metrics": self.metrics,
             "feature_names": self.feature_names,
-            "normalization": None if self.normalization is None else self.normalization.to_json(),
+            "normalization": self.normalization.to_json(),
         }
         Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
 
@@ -208,42 +215,28 @@ class Checkpoint:
                 f"{path}: unsupported checkpoint format version {doc['format_version']!r}"
             )
         norm, metrics = doc["normalization"], doc["metrics"]
-        if norm is not None:
-            require_fields(path, norm, _NORMALIZATION_FIELDS, "normalization")
+        require_fields(path, norm, _NORMALIZATION_FIELDS, "field 'normalization'")
         require_fields(path, metrics, ("mse", "mae", "r2"), "field 'metrics'")
         config = _construct(path, "config", TrainConfig, doc["config"])
-        n_features, epoch, loss = doc["n_features"], doc["best_epoch"], doc["best_loss"]
+        normalization = _construct(path, "normalization", NormalizationParams,
+                                   {f: norm[f] for f in _NORMALIZATION_FIELDS})
+        names, n_features = normalization.feature_names, len(normalization.feature_names)
+        count, epoch, loss = doc["n_features"], doc["best_epoch"], doc["best_loss"]
         mse, mae, r2 = metrics["mse"], metrics["mae"], metrics["r2"]
         checks = [
-            ("n_features", n_features, type(n_features) is int and n_features > 0,
-             "a positive int"),
+            ("n_features", count, type(count) is int and count == n_features,
+             f"{n_features}, the length of 'normalization.feature_names'"),
+            ("feature_names", doc["feature_names"], doc["feature_names"] == names,
+             f"{names!r}, as in 'normalization.feature_names'"),
             ("best_epoch", epoch, type(epoch) is int, "an int"),
             ("best_loss", loss, is_finite_number(loss), "a finite number"),
             ("metrics.mse", mse, is_finite_number(mse), "a finite number"),
             ("metrics.mae", mae, is_finite_number(mae), "a finite number"),
             ("metrics.r2", r2, r2 is None or is_finite_number(r2), "a finite number or null"),
         ]
-        names = doc["feature_names"]
-        lists = [] if names is None else [("feature_names", names)]
-        if norm is not None:
-            lists += [(f"normalization.{f}", norm[f])
-                      for f in ("feature_names", "feature_min", "feature_max")]
-        for f, v in lists:
-            if f.endswith("feature_names"):
-                ok = (isinstance(v, list) and all(isinstance(n, str) for n in v)
-                      and len(set(v)) == len(v) == n_features)
-                checks.append((f, v, ok, f"a list of {n_features} distinct strings"))
-            else:
-                checks.append((f, v, isinstance(v, list) and len(v) == n_features,
-                               f"a list of {n_features} entries"))
         for name, value, ok, want in checks:
             if not ok:
                 raise ValueError(f"{path}: field {name!r} must be {want}, got {value!r}")
-        if norm is not None and names is not None and norm["feature_names"] != names:
-            raise ValueError(
-                f"{path}: field 'normalization.feature_names' {norm['feature_names']!r} "
-                f"differs from field 'feature_names' {names!r}"
-            )
         skeleton = _skeleton(config, n_features)
         want = [[n, list(a.shape)] for n, a in skeleton.param_items()]
         got = doc["shapes"] if isinstance(doc["shapes"], list) else [doc["shapes"]]
@@ -265,16 +258,12 @@ class Checkpoint:
         params = np.frombuffer(payload, dtype="<f8").astype(np.float64)
         if not np.isfinite(params).all():
             raise ValueError(f"{path}: field 'params_b64' contains non-finite values")
-        normalization = None if norm is None else _construct(
-            path, "normalization", NormalizationParams, {f: norm[f] for f in _NORMALIZATION_FIELDS})
         return Checkpoint(
             config=config,
-            n_features=n_features,
             params=params,
             best_epoch=epoch,
             best_loss=loss,
             metrics=metrics,
-            feature_names=names,
             normalization=normalization,
         )
 
@@ -301,26 +290,27 @@ def train(
     ws_train: WindowedSet,
     ws_eval: WindowedSet,
     cfg: TrainConfig,
-    feature_names: list[str] | None = None,
-    normalization: NormalizationParams | None = None,
+    normalization: NormalizationParams,
 ) -> tuple[Checkpoint, TrainHistory]:
     """Run one full-batch Adam training loop and return the best checkpoint.
 
     Held-out metrics are computed whenever the epoch is a multiple of
     cfg.eval_every; the checkpoint updates when the held-out MSE improves
     (or, with cfg.checkpoint_on_train_loss, whenever the training loss does).
-    A non-finite loss raises TrainingDiverged.
+    Both window sets must be cfg.window steps long with one feature per name
+    in `normalization`. A non-finite loss raises TrainingDiverged.
     """
     if ws_train.n_windows < 1:
         raise ValueError("training set is empty")
     if ws_eval.n_windows < 2:
         raise ValueError("evaluation set needs at least two windows")
-    if ws_train.window_length != cfg.window or ws_eval.window_length != cfg.window:
+    n_features = len(normalization.feature_names)
+    want = (cfg.window, n_features)
+    if ws_train.windows.shape[1:] != want or ws_eval.windows.shape[1:] != want:
         raise ValueError(
-            f"window length mismatch: config {cfg.window}, "
-            f"train {ws_train.window_length}, eval {ws_eval.window_length}"
+            f"window shape mismatch: config and normalization give (length, features) "
+            f"{want}, train {ws_train.windows.shape[1:]}, eval {ws_eval.windows.shape[1:]}"
         )
-    n_features = ws_train.windows.shape[2]
     model = init_params(n_features, cfg.hidden_dim, cfg.layers, cfg.mode, cfg.seed)
     params = model.param_arrays()
     m1 = [np.zeros_like(a) for a in params]
@@ -394,12 +384,10 @@ def train(
     assert best_params is not None  # eval_every <= max_epochs guarantees one eval
     checkpoint = Checkpoint(
         config=cfg,
-        n_features=n_features,
         params=best_params,
         best_epoch=best_epoch,
         best_loss=best_loss,
         metrics={},
-        feature_names=feature_names,
         normalization=normalization,
     )
     if best_metrics is None:  # checkpointed on training loss: score the kept params
@@ -481,7 +469,6 @@ class TuneReport:
 class _Job:
     si: int
     label: str
-    feature_names: list[str]
     ws_train: WindowedSet
     ws_eval: WindowedSet
     cfg: TrainConfig
@@ -491,7 +478,7 @@ class _Job:
 
 def _run_job(job: _Job) -> tuple[TuneRecord, Checkpoint | None]:
     cfg = job.cfg
-    n_feat = len(job.feature_names)
+    n_feat = len(job.normalization.feature_names)
     rec = TuneRecord(
         feature_set_index=job.si,
         feature_set_label=job.label,
@@ -502,13 +489,7 @@ def _run_job(job: _Job) -> tuple[TuneRecord, Checkpoint | None]:
         n_params=_skeleton(cfg, n_feat).n_params(),
     )
     try:
-        ckpt, _history = train(
-            job.ws_train,
-            job.ws_eval,
-            cfg,
-            feature_names=job.feature_names,
-            normalization=job.normalization,
-        )
+        ckpt, _history = train(job.ws_train, job.ws_eval, cfg, job.normalization)
     except Exception as exc:  # a failed grid point is recorded, not fatal
         rec.failed = True
         if isinstance(exc, TrainingDiverged):
@@ -583,7 +564,7 @@ def grid_search(
                 checkpoint_on_train_loss=checkpoint_on_train_loss,
             )
             jobs.append(
-                _Job(si, label, list(names), ws_tr, ws_te, cfg, norm, pue_units)
+                _Job(si, label, ws_tr, ws_te, cfg, norm, pue_units)
             )
 
     if workers <= 1:

@@ -109,6 +109,16 @@ class TestSelectFeatures:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    def test_too_few_feature_columns_names_the_csv(self, tmp_path, capsys):
+        csv = tmp_path / "one.csv"
+        csv.write_text("timestamp,a,PUE\n" + "".join(
+            f"2024-01-01T{h:02d}:00:00,{h}.0,1.5\n" for h in range(20)))
+        code = run_cli("select-features", "-i", str(csv), "-o", str(tmp_path / "sel"),
+                       "--lr", "0.1", "--trees", "3", "--depth", "2", "--folds", "3")
+        assert code == 1
+        assert (f"{csv}: 1 feature column(s); select-features needs at least 2"
+                in capsys.readouterr().err)
+
     def test_one_fold_is_a_usage_error(self, small_csv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("select-features", "-i", str(small_csv), "-o", str(tmp_path / "sel"),
@@ -184,15 +194,35 @@ class TestTune:
         assert code == 1
         assert f"{sets}: entry 0: field 'selected_features'" in capsys.readouterr().err
 
+    def test_feature_set_columns_the_csv_lacks_are_named(self, small_csv, tmp_path, capsys):
+        sets = tmp_path / "sets.json"
+        sets.write_text(json.dumps([{"selected_features": ["it_power_kw"]},
+                                    {"selected_features": ["it_power_kw", "nope"]}]))
+        code = run_cli("tune", "-i", str(small_csv), "-f", str(sets),
+                       "-o", str(tmp_path / "tune"), "--max-epochs", "2",
+                       "--eval-every", "2")
+        assert code == 1
+        assert (f"{small_csv}: missing feature column(s) required by {sets} entry 1: "
+                "['nope']") in capsys.readouterr().err
+        assert not (tmp_path / "tune").exists()
+
     @pytest.mark.parametrize("flags, message", [
-        (["--window", "30"], "--window 30 exceeds the 24 rows of the held-out partition "
-                             "that --split 0.8 leaves of 120 rows"),
+        (["--window", "30"], "--window 30 exceeds 23, the longest that cuts 2 window(s) "
+                             "from the 24 rows of the held-out partition that --split 0.8 "
+                             "leaves of 120 rows"),
+        (["--window", "24"], "--window 24 exceeds 23, the longest that cuts 2 window(s) "
+                             "from the 24 rows of the held-out partition that --split 0.8 "
+                             "leaves of 120 rows"),
+        (["--window", "13", "--split", "0.1"],
+         "--window 13 exceeds 12, the longest that cuts 1 window(s) from the 12 rows of "
+         "the training partition that --split 0.1 leaves of 120 rows"),
         (["--eval-every", "5"], "--eval-every 5 exceeds --max-epochs 2"),
         (["--lr", "nan"], "--lr: learning_rate must be finite and non-negative, got nan"),
         (["--grad-clip", "0"], "--grad-clip must be positive, got 0.0"),
         (["--grad-clip", "-1"], "--grad-clip must be positive, got -1.0"),
         (["--grad-clip", "nan"], "--grad-clip must be positive, got nan"),
-    ], ids=["window", "eval_every", "lr", "grad_clip_0", "grad_clip_-1", "grad_clip_nan"])
+    ], ids=["window", "window_one_held_out", "window_training", "eval_every", "lr",
+            "grad_clip_0", "grad_clip_-1", "grad_clip_nan"])
     def test_flag_errors_name_the_flag(self, small_csv, tmp_path, capsys, flags, message):
         code = run_cli("tune", "-i", str(small_csv), "-o", str(tmp_path / "tune"),
                        "--mode", "gru", "--layers", "1", "--hidden", "2", "--lr", "0.02",

@@ -10,6 +10,7 @@ from oracles import loop_train_rows, loop_windows
 from pue_forecast.dataset import (
     CsvFormatError,
     Dataset,
+    NormalizationParams,
     WindowedSet,
     denormalize,
     denormalize_target,
@@ -150,6 +151,16 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             ds.y[0] = 99.0
 
+    def test_callers_arrays_stay_writable(self):
+        """Dataset and NormalizationParams keep read-only views, not copies,
+        of the arrays they are given, and leave those arrays writable."""
+        X, y, lo, hi = np.ones((2, 1)), np.ones(2), np.zeros(1), np.ones(1)
+        ds = Dataset(["a"], ["t0", "t1"], X, y)
+        p = NormalizationParams(["a"], lo, hi, 0.0, 1.0)
+        for given, kept in ((X, ds.X), (y, ds.y), (lo, p.feature_min), (hi, p.feature_max)):
+            assert given.flags.writeable and not kept.flags.writeable
+            assert np.shares_memory(given, kept)
+
     def test_select_projects_columns(self):
         ds = generate_synthetic(10, 3, 2, seed=0)
         sub = ds.select([ds.feature_names[2], ds.feature_names[0]])
@@ -258,6 +269,16 @@ class TestNormalization:
         p = fit_normalizer(train)
         nt = normalize(test, p)
         assert nt.X[0, 0] == 1.5  # (15 - 0) / 10, outside [0, 1]
+
+    @pytest.mark.parametrize("names, lo, hi, message", [
+        (["a", "a"], np.zeros(2), np.ones(2), "feature_names must be a list of distinct strings"),
+        (["a", 1], np.zeros(2), np.ones(2), "feature_names must be a list of distinct strings"),
+        (["a", "b"], np.zeros(3), np.ones(1), "feature_min must hold 2 finite numbers"),
+        (["a", "b"], np.zeros(2), np.ones(1), "feature_max must hold 2 finite numbers"),
+    ], ids=["repeated", "not_a_string", "min_length", "max_length"])
+    def test_params_hold_one_bound_per_distinct_name(self, names, lo, hi, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            NormalizationParams(names, lo, hi, 0.0, 1.0)
 
     def test_feature_name_mismatch(self):
         ds = generate_synthetic(10, 3, 0, seed=0)

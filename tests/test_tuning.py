@@ -43,6 +43,11 @@ def make_windowed(n=80, n_features=3, W=4, seed=0, train_fraction=0.75):
     return window(normalize(tr, norm), W), window(normalize(te, norm), W), norm, ds
 
 
+def unit_norm(n_features):
+    names = [f"f{i}" for i in range(n_features)]
+    return NormalizationParams(names, np.zeros(n_features), np.ones(n_features), 0.0, 1.0)
+
+
 class TestAdam:
     def test_zero_gradient_first_step_is_identity(self):
         p = [np.array([1.0, -2.0]), np.array([[3.0]])]
@@ -95,10 +100,10 @@ class TestAdam:
 
 class TestTrain:
     def test_zero_learning_rate_keeps_parameters(self):
-        ws_tr, ws_te, _, _ = make_windowed()
+        ws_tr, ws_te, norm, _ = make_windowed()
         cfg = TrainConfig(layers=1, hidden_dim=3, learning_rate=0.0,
                           max_epochs=20, eval_every=5, mode="gru", seed=9, window=4)
-        ckpt, hist = train(ws_tr, ws_te, cfg)
+        ckpt, hist = train(ws_tr, ws_te, cfg, norm)
         init = init_params(3, 3, 1, "gru", seed=9)
         assert np.array_equal(ckpt.params, _flat_params(init))
         assert len(set(hist.train_loss)) == 1
@@ -110,52 +115,52 @@ class TestTrain:
         ws_te = WindowedSet(rng.uniform(0, 1, size=(2, 3, 2)), np.array([0.5, 0.7]), 3)
         cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.01,
                           max_epochs=500, eval_every=500, mode="bigru", seed=1, window=3)
-        _, hist = train(ws_tr, ws_te, cfg)
+        _, hist = train(ws_tr, ws_te, cfg, unit_norm(2))
         assert hist.train_loss[-1] < hist.train_loss[0]
 
     def test_eval_cadence(self):
-        ws_tr, ws_te, _, _ = make_windowed()
+        ws_tr, ws_te, norm, _ = make_windowed()
         cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.01,
                           max_epochs=50, eval_every=10, mode="gru", seed=2, window=4)
-        _, hist = train(ws_tr, ws_te, cfg)
+        _, hist = train(ws_tr, ws_te, cfg, norm)
         assert [e.epoch for e in hist.evals] == [10, 20, 30, 40, 50]
 
     def test_checkpoint_not_worse_than_any_eval(self):
-        ws_tr, ws_te, _, _ = make_windowed(n=120, seed=3)
+        ws_tr, ws_te, norm, _ = make_windowed(n=120, seed=3)
         cfg = TrainConfig(layers=1, hidden_dim=4, learning_rate=0.02,
                           max_epochs=60, eval_every=10, mode="bigru", seed=3, window=4)
-        ckpt, hist = train(ws_tr, ws_te, cfg)
+        ckpt, hist = train(ws_tr, ws_te, cfg, norm)
         assert ckpt.best_loss <= min(e.mse for e in hist.evals)
         assert ckpt.best_epoch in [e.epoch for e in hist.evals]
         assert ckpt.metrics["mse"] == ckpt.best_loss
 
     def test_checkpoint_metrics_consistent_with_saved_predictions(self):
-        ws_tr, ws_te, _, _ = make_windowed(n=120, seed=5)
+        ws_tr, ws_te, norm, _ = make_windowed(n=120, seed=5)
         cfg = TrainConfig(layers=1, hidden_dim=3, learning_rate=0.02,
                           max_epochs=30, eval_every=10, mode="gru", seed=5, window=4)
-        ckpt, _ = train(ws_tr, ws_te, cfg)
+        ckpt, _ = train(ws_tr, ws_te, cfg, norm)
         preds = ckpt.predict(ws_te.windows)
         err = preds - ws_te.targets
         assert abs(float(np.mean(err * err)) - ckpt.metrics["mse"]) < 1e-12
         assert abs(float(np.mean(np.abs(err))) - ckpt.metrics["mae"]) < 1e-12
 
     def test_checkpoint_on_train_loss_mode(self):
-        ws_tr, ws_te, _, _ = make_windowed(n=100, seed=6)
+        ws_tr, ws_te, norm, _ = make_windowed(n=100, seed=6)
         cfg = TrainConfig(layers=1, hidden_dim=3, learning_rate=0.02,
                           max_epochs=40, eval_every=20, mode="gru", seed=6,
                           window=4, checkpoint_on_train_loss=True)
-        ckpt, hist = train(ws_tr, ws_te, cfg)
+        ckpt, hist = train(ws_tr, ws_te, cfg, norm)
         assert ckpt.best_loss == min(hist.train_loss)
         assert "mse" in ckpt.metrics
 
     def test_train_loss_checkpoint_keeps_the_scored_params(self):
         """The parameters kept under checkpoint_on_train_loss are the ones whose
         fast-path training MSE was recorded as best_loss, not one step newer."""
-        ws_tr, ws_te, _, _ = make_windowed(n=100, seed=6)
+        ws_tr, ws_te, norm, _ = make_windowed(n=100, seed=6)
         cfg = TrainConfig(layers=1, hidden_dim=3, learning_rate=0.02,
                           max_epochs=40, eval_every=20, mode="gru", seed=6,
                           window=4, checkpoint_on_train_loss=True)
-        ckpt, _ = train(ws_tr, ws_te, cfg)
+        ckpt, _ = train(ws_tr, ws_te, cfg, norm)
         pred, _ = forward_batch(ckpt.to_model(), ws_tr.windows, exact=False)
         err = pred - ws_tr.targets
         assert float(np.mean(err * err)) == ckpt.best_loss
@@ -178,11 +183,11 @@ class TestTrain:
         monkeypatch.setattr(rnn.TileRunner, "__init__", runner_init)
         monkeypatch.setattr(rnn.Workspace, "__init__", workspace_init)
         monkeypatch.setattr(rnn, "_TILE_ELEMENTS", 8 * 3)  # tiles of 8 windows
-        ws_tr, ws_te, _, _ = make_windowed()
+        ws_tr, ws_te, norm, _ = make_windowed()
         cfg = TrainConfig(layers=1, hidden_dim=3, learning_rate=lr, max_epochs=4,
                           eval_every=1, mode="bigru", seed=4, window=4,
                           checkpoint_on_train_loss=on_train_loss)
-        train(ws_tr, ws_te, cfg)
+        train(ws_tr, ws_te, cfg, norm)
         assert len(runners) == 1 and made == runners[0].workspaces
         assert len(made) == 2
 
@@ -193,14 +198,24 @@ class TestTrain:
         cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.01,
                           max_epochs=10, eval_every=10, mode="gru", seed=0, window=3)
         with pytest.raises(TrainingDiverged):
-            train(bad, ws_te, cfg)
+            train(bad, ws_te, cfg, unit_norm(2))
 
-    def test_window_mismatch_rejected(self):
+    def test_window_mismatch_rejected(self, monkeypatch):
+        """Windows of another length than the config's, or another width than
+        the normalization's names, fail before any epoch runs."""
         ws_tr, ws_te, _, _ = make_windowed(W=4)
-        cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.01,
-                          max_epochs=10, eval_every=10, mode="gru", seed=0, window=5)
-        with pytest.raises(ValueError, match="window length mismatch"):
-            train(ws_tr, ws_te, cfg)
+
+        def no_epoch(*args, **kwargs):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(tuning, "forward_batch", no_epoch)
+        # (config window, normalization names, held-out window width)
+        for window, n_names, eval_width in [(5, 3, 3), (4, 2, 3), (4, 3, 2)]:
+            ws_ev = WindowedSet(ws_te.windows[:, :, :eval_width], ws_te.targets, 4)
+            cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.01, max_epochs=10,
+                              eval_every=10, mode="gru", seed=0, window=window)
+            with pytest.raises(ValueError, match="window shape mismatch"):
+                train(ws_tr, ws_ev, cfg, unit_norm(n_names))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="eval_every"):
@@ -224,8 +239,7 @@ class TestCheckpointPersistence:
         ws_tr, ws_te, norm, ds = make_windowed(n=100, seed=8)
         cfg = TrainConfig(layers=2, hidden_dim=3, learning_rate=0.02,
                           max_epochs=20, eval_every=10, mode="bigru", seed=8, window=4)
-        ckpt, _ = train(ws_tr, ws_te, cfg,
-                        feature_names=list(ds.feature_names), normalization=norm)
+        ckpt, _ = train(ws_tr, ws_te, cfg, norm)
         path = tmp_path / "ckpt.json"
         ckpt.save(path)
         loaded = Checkpoint.load(path)
@@ -237,10 +251,10 @@ class TestCheckpointPersistence:
         assert loaded.config == ckpt.config
 
     def test_unsupported_version_rejected(self, tmp_path):
-        ws_tr, ws_te, _, _ = make_windowed()
+        ws_tr, ws_te, norm, _ = make_windowed()
         cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.02,
                           max_epochs=10, eval_every=10, mode="gru", seed=0, window=4)
-        ckpt, _ = train(ws_tr, ws_te, cfg)
+        ckpt, _ = train(ws_tr, ws_te, cfg, norm)
         path = tmp_path / "ckpt.json"
         ckpt.save(path)
         doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
@@ -249,11 +263,10 @@ class TestCheckpointPersistence:
             Checkpoint.load(path)
 
     def test_malformed_fields_name_file_and_field(self, tmp_path):
-        ws_tr, ws_te, norm, ds = make_windowed()
+        ws_tr, ws_te, norm, _ = make_windowed()
         cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.02,
                           max_epochs=10, eval_every=10, mode="gru", seed=0, window=4)
-        ckpt, _ = train(ws_tr, ws_te, cfg, feature_names=list(ds.feature_names),
-                        normalization=norm)
+        ckpt, _ = train(ws_tr, ws_te, cfg, norm)
         good = tmp_path / "good.json"
         ckpt.save(good)
         doc = json.loads(good.read_text())
@@ -266,7 +279,7 @@ class TestCheckpointPersistence:
             "params_b64": [dict(doc, params_b64=b64[:8] + "!!!!" + b64[8:]),
                            dict(doc, params_b64=b64[:-4] + "=" + b64[-3:]),
                            dict(doc, params_b64=7)],
-            "normalization.feature_names": [dict(doc, normalization=dict(
+            "feature_names": [dict(doc, normalization=dict(
                 doc["normalization"], feature_names=doc["feature_names"][::-1]))],
         }
         for field, docs in cases.items():
@@ -277,11 +290,10 @@ class TestCheckpointPersistence:
                     Checkpoint.load(path)
 
     def test_extra_normalization_key_is_ignored(self, tmp_path):
-        ws_tr, ws_te, norm, ds = make_windowed()
+        ws_tr, ws_te, norm, _ = make_windowed()
         cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.02,
                           max_epochs=10, eval_every=10, mode="gru", seed=0, window=4)
-        ckpt, _ = train(ws_tr, ws_te, cfg, feature_names=list(ds.feature_names),
-                        normalization=norm)
+        ckpt, _ = train(ws_tr, ws_te, cfg, norm)
         path = tmp_path / "ckpt.json"
         ckpt.save(path)
         doc = json.loads(path.read_text())
@@ -290,21 +302,19 @@ class TestCheckpointPersistence:
         assert Checkpoint.load(path).normalization.to_json() == norm.to_json()
 
     def test_inconsistent_fields_fail_at_load(self, tmp_path):
-        """Fields of the wrong type, or that disagree with n_features or with
-        the config, fail at load naming the file and the field, not at predict."""
-        ws_tr, ws_te, norm, ds = make_windowed()
+        """Fields of the wrong type, or that disagree with the normalization or
+        with the config, fail at load naming the file and the field, not at predict."""
+        ws_tr, ws_te, norm, _ = make_windowed()
         cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.02,
                           max_epochs=10, eval_every=10, mode="gru", seed=0, window=4)
-        ckpt, _ = train(ws_tr, ws_te, cfg, feature_names=list(ds.feature_names),
-                        normalization=norm)
+        ckpt, _ = train(ws_tr, ws_te, cfg, norm)
         good = tmp_path / "good.json"
         ckpt.save(good)
         doc = json.loads(good.read_text())
         norm_doc = doc["normalization"]
         cases = [
             ("n_features", dict(doc, n_features="3")),
-            ("normalization.feature_min", dict(doc, normalization=dict(
-                norm_doc, feature_min=norm_doc["feature_min"][:2]))),
+            ("n_features", dict(doc, n_features=2)),
             ("metrics", dict(doc, metrics=None)),
             ("best_epoch", dict(doc, best_epoch="x")),
             ("best_loss", dict(doc, best_loss=None)),
@@ -317,9 +327,13 @@ class TestCheckpointPersistence:
             ("metrics.r2", dict(doc, metrics=dict(doc["metrics"], r2="x"))),
             ("metrics.r2", dict(doc, metrics=dict(doc["metrics"], r2=float("inf")))),
         ]
+        cases = [(f"field '{field}'", bad) for field, bad in cases]
         lo, hi = norm_doc["feature_min"], norm_doc["feature_max"]
-        cases += [("normalization", dict(doc, normalization=dict(norm_doc, **bad)))
+        # each bad value is reported under 'normalization' with its sub-field
+        cases += [(f"field 'normalization': {next(iter(bad))}",
+                   dict(doc, normalization=dict(norm_doc, **bad)))
                   for bad in (
+                      dict(feature_min=lo[:2]),
                       dict(feature_min=[None] + lo[1:]),
                       dict(feature_max=hi[:-1] + ["x"]),
                       dict(feature_max=hi[:-1] + [float("inf")]),
@@ -329,21 +343,21 @@ class TestCheckpointPersistence:
                       dict(target_max=float("nan")),
                       dict(feature_min=[v + 1.0 for v in hi]),
                   )]
-        for i, (field, bad) in enumerate(cases):
+        cases.append(("field 'normalization': expected a JSON object",
+                      dict(doc, normalization=None)))
+        for i, (expected, bad) in enumerate(cases):
             path = tmp_path / f"bad_{i}.json"
             path.write_text(json.dumps(bad))
-            with pytest.raises(ValueError, match=re.escape(f"{path}: field '{field}'")):
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {expected}")):
                 Checkpoint.load(path)
-
 
     def test_feature_names_must_be_distinct_strings(self, tmp_path):
         """Names that are not strings, or repeat, fail at load naming the file
         and the field, not later as a column missing from the input CSV."""
-        ws_tr, ws_te, norm, ds = make_windowed()
+        ws_tr, ws_te, norm, _ = make_windowed()
         cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.02,
                           max_epochs=10, eval_every=10, mode="gru", seed=0, window=4)
-        ckpt, _ = train(ws_tr, ws_te, cfg, feature_names=list(ds.feature_names),
-                        normalization=norm)
+        ckpt, _ = train(ws_tr, ws_te, cfg, norm)
         good = tmp_path / "good.json"
         ckpt.save(good)
         doc = json.loads(good.read_text())
@@ -354,17 +368,18 @@ class TestCheckpointPersistence:
             return dict(doc, feature_names=names,
                         normalization=dict(doc["normalization"], feature_names=names))
 
+        in_norm = "field 'normalization': feature_names must be a list of distinct strings"
         cases = [
-            ("feature_names", both(numbers)),
-            ("feature_names", both(repeated)),
-            ("feature_names", dict(doc, feature_names=numbers)),
-            ("normalization.feature_names", dict(both(repeated), feature_names=None)),
+            (in_norm, both(numbers)),
+            (in_norm, both(repeated)),
+            (in_norm, dict(both(repeated), feature_names=None)),
+            (f"field 'feature_names' must be {doc['feature_names']!r}",
+             dict(doc, feature_names=numbers)),
         ]
-        for i, (field, bad) in enumerate(cases):
+        for i, (expected, bad) in enumerate(cases):
             path = tmp_path / f"bad_{i}.json"
             path.write_text(json.dumps(bad))
-            with pytest.raises(ValueError, match=re.escape(
-                    f"{path}: field '{field}' must be a list of {n} distinct strings")):
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {expected}")):
                 Checkpoint.load(path)
 
 
@@ -387,7 +402,7 @@ class TestGridSearch:
         ws_te = window(normalize(te, norm), 4)
         cfg = TrainConfig(layers=1, hidden_dim=3, learning_rate=0.02,
                           max_epochs=20, eval_every=10, mode="gru", seed=40, window=4)
-        ckpt, _ = train(ws_tr, ws_te, cfg)
+        ckpt, _ = train(ws_tr, ws_te, cfg, norm)
         assert rec.mse == ckpt.metrics["mse"]
         assert rec.best_epoch == ckpt.best_epoch
         assert np.array_equal(report.checkpoints[0].params, ckpt.params)
@@ -484,7 +499,7 @@ class TestGridSearch:
         cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.01,
                           max_epochs=5, eval_every=5, mode="gru", seed=0, window=3)
         norm = NormalizationParams(["a", "b"], np.zeros(2), np.ones(2), 1.0, 2.0)
-        job = _Job(0, "set00_n2", ["a", "b"], bad_tr, ws_te, cfg, norm, False)
+        job = _Job(0, "set00_n2", bad_tr, ws_te, cfg, norm, False)
         rec, ckpt = _run_job(job)
         assert rec.failed and ckpt is None
         assert "non-finite" in rec.error
@@ -553,9 +568,9 @@ class TestTuneReportSelection:
 @settings(deadline=None, max_examples=30)
 @given(
     st.sampled_from(["gru", "bigru"]), st.integers(1, 3), st.integers(1, 16),
-    st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1),
+    st.integers(1, 4), st.integers(0, 2**32 - 1),
 )
-def test_checkpoint_roundtrip_is_bitwise(mode, layers, hidden, n_features, normalized, seed):
+def test_checkpoint_roundtrip_is_bitwise(mode, layers, hidden, n_features, seed):
     rng = np.random.default_rng(seed)
     model = init_params(n_features, hidden, layers, mode, seed=seed)
     params = rng.standard_normal(model.n_params()) * np.exp2(
@@ -568,13 +583,11 @@ def test_checkpoint_roundtrip_is_bitwise(mode, layers, hidden, n_features, norma
     ckpt = Checkpoint(
         config=TrainConfig(layers=layers, hidden_dim=hidden, learning_rate=0.01,
                            mode=mode, seed=seed, window=3),
-        n_features=n_features,
         params=params,
         best_epoch=int(rng.integers(1, 4000)),
         best_loss=float(rng.uniform()),
         metrics={"mse": float(rng.uniform()), "mae": float(rng.uniform()), "r2": None},
-        feature_names=names if normalized else None,
-        normalization=norm if normalized else None,
+        normalization=norm,
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ckpt.json"
@@ -584,14 +597,11 @@ def test_checkpoint_roundtrip_is_bitwise(mode, layers, hidden, n_features, norma
     assert (loaded.config, loaded.n_features, loaded.best_epoch, loaded.best_loss,
             loaded.metrics, loaded.feature_names) == (
         ckpt.config, n_features, ckpt.best_epoch, ckpt.best_loss, ckpt.metrics,
-        ckpt.feature_names)
+        names)
     assert [(n, tuple(s)) for n, s in loaded.shapes] == ckpt.shapes
-    if normalized:
-        for f in ("feature_min", "feature_max"):
-            assert getattr(loaded.normalization, f).tobytes() == getattr(norm, f).tobytes()
-        assert (loaded.normalization.target_min, loaded.normalization.target_max) == (
-            norm.target_min, norm.target_max)
-    else:
-        assert loaded.normalization is None
+    for f in ("feature_min", "feature_max"):
+        assert getattr(loaded.normalization, f).tobytes() == getattr(norm, f).tobytes()
+    assert (loaded.normalization.target_min, loaded.normalization.target_max) == (
+        norm.target_min, norm.target_max)
     windows = rng.uniform(0, 1, size=(5, 3, n_features))
     assert loaded.predict(windows).tobytes() == ckpt.predict(windows).tobytes()
