@@ -15,6 +15,20 @@ stopping, so a config with fewer trees fits exactly the leading trees of one
 with more: at every feature count, the configs whose surviving features
 agree share one build of the largest tree count and read their own models
 off it as snapshots, bitwise equal to separate fits.
+
+Each count after the first resumes from the previous count's fit. Exact
+greedy split search scores every column on its own and the winner is the
+first maximum, so a column that wins no split never changes a tree.
+Boosting therefore starts at round T: the first round in which the previous
+fit's tree for one of this count's roots (the folds and, above one feature,
+all rows) splits on a dropped column; if none does, every round is reused
+and nothing is grown. Rounds before T keep the previous trees with their
+column ids remapped, their losses and their running importances sliced to
+the surviving columns; each root's running predictions are replayed through
+them in tree order. Results are bitwise equal to fitting every count from
+scratch. It pays for shallow, low-learning-rate groups with many unused
+columns, whose trees keep to the same few columns, at any `step`; deep
+trees soon split on almost every column, so there it rarely applies.
 """
 
 from __future__ import annotations
@@ -31,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, read_json, require_fields, write_rows
-from .gbt import _fit_core, _presort, gbt_importance, gbt_predict
+from .gbt import _fit_core, _presort, _reusable_rounds, gbt_importance, gbt_predict
 
 log = logging.getLogger(__name__)
 
@@ -120,7 +134,10 @@ def _rfecv_group(
     the largest snapshot's trees are routed once per fold to score every
     member's count, and each config then eliminates on its own. The folds'
     training rows and (above one feature) all rows are one stacked root each,
-    presorted once; every call takes column slices of it.
+    presorted once; every call takes column slices of it. Each such group
+    resumes from the fit that scored its first member's previous count (see
+    the module docstring), and one info line reports the counts visited and
+    the tree rounds grown and reused.
     """
     if ds.n_features < 2:
         raise ValueError("need at least 2 features")
@@ -140,8 +157,13 @@ def _rfecv_group(
     actives = [list(range(ds.n_features)) for _ in configs]
     orders: list[list[int]] = [[] for _ in configs]
     mses: list[dict[int, float]] = [{} for _ in configs]
+    # per config, (columns, _Fit) of the fit that scored its last count
+    last_fit: list[tuple | None] = [None] * len(configs)
+    visited: list[int] = []
+    grown = reused = 0
     count = ds.n_features
     while True:
+        visited.append(count)
         # the last count is not ranked, so it needs no importance fit
         n_roots = folds if count == 1 else folds + 1
         m = sum(sizes[:n_roots])
@@ -151,16 +173,31 @@ def _rfecv_group(
         for cols, members in groups.items():
             cols = list(cols)
             trees = [configs[i].n_estimators for i in members]
+            n = max(trees)
+            # resume from the fit that scored a member's last count: its
+            # columns contain these, since elimination only drops columns
+            resume, rounds = None, 0
+            if last_fit[members[0]] is not None:
+                prev_cols, prev_fit = last_fit[members[0]]
+                keep = np.searchsorted(prev_cols, cols)
+                rounds = min(_reusable_rounds(prev_fit.models[:n_roots], keep), n)
+                resume = (prev_fit, keep, rounds)
             try:
-                snapshots = _fit_core(
-                    X_all[:m, cols], y_all[:m], max(trees), lr, depth, lam,
-                    tuple(a[cols, :m] for a in presort), sizes[:n_roots], trees,
+                fit = _fit_core(
+                    X_all[:m, cols], y_all[:m], n, lr, depth, lam,
+                    None if rounds == n else tuple(a[cols, :m] for a in presort),
+                    sizes[:n_roots], trees, resume,
                 )
             except Exception as exc:
                 raise RuntimeError(
                     f"estimator failed at feature count {count}: {exc}"
                 ) from exc
-            largest = snapshots[trees.index(max(trees))]
+            grown += n - rounds
+            reused += rounds
+            for i in members:
+                last_fit[i] = (cols, fit)
+            snapshots = fit.snapshots
+            largest = snapshots[trees.index(n)]
             fold_preds = [
                 (gbt_predict(model, Xva[:, cols], trees), yva)
                 for model, (Xva, yva) in zip(largest, held_out)
@@ -184,6 +221,10 @@ def _rfecv_group(
         if count == 1:
             break
         count = len(actives[0])
+    log.info(
+        "rfecv lr=%g depth=%d: counts %s; grew %d tree rounds, reused %d",
+        lr, depth, ",".join(map(str, visited)), grown, reused,
+    )
 
     results = []
     for cfg, order, by_count in zip(configs, orders, mses):
@@ -249,7 +290,7 @@ def rfecv_grid(
         jobs.setdefault((cfg.learning_rate, cfg.max_depth, cfg.reg_lambda), []).append(i)
     job_configs = [[configs[i] for i in idx] for idx in jobs.values()]
     run = partial(_rfecv_group, ds, step=step, folds=folds)
-    if workers <= 1:
+    if min(workers, len(job_configs)) <= 1:
         outs = [run(group) for group in job_configs]
     else:
         with ProcessPoolExecutor(

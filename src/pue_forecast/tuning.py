@@ -567,7 +567,7 @@ def grid_search(
                 _Job(si, label, ws_tr, ws_te, cfg, norm, pue_units)
             )
 
-    if workers <= 1:
+    if min(workers, len(jobs)) <= 1:
         outcomes = [_run_job(job) for job in jobs]
     else:
         with ProcessPoolExecutor(

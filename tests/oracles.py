@@ -10,6 +10,8 @@ import math
 import numpy as np
 
 from pue_forecast import rnn
+from pue_forecast.gbt import gbt_fit, gbt_importance, gbt_predict
+from pue_forecast.rfecv import make_folds
 from pue_forecast.rnn import GruParams, forward_batch, model_backward, model_forward
 
 
@@ -304,6 +306,38 @@ def tree_depth(tree):
             return 0
         return 1 + max(walk(int(tree.left[i])), walk(int(tree.right[i])))
     return walk(0)
+
+
+def rfecv_from_scratch(ds, cfg, step, folds):
+    """RFECV for one GbtConfig with every count's fits grown from scratch.
+
+    Per count: one `gbt_fit` per fold's training rows scored by the mean of
+    the folds' held-out MSEs, and, above one feature, one on all rows whose
+    importances drop the `step` lowest (stable argsort, so the lowest index
+    goes first among ties). Returns (elimination order, MSE by count,
+    selected names).
+    """
+    def fit(rows, cols):
+        return gbt_fit(ds.X[np.ix_(rows, cols)], ds.y[rows], cfg.n_estimators,
+                       cfg.learning_rate, cfg.max_depth, cfg.reg_lambda)
+
+    active, order, mses = list(range(ds.n_features)), [], {}
+    while True:
+        fold_mses = [
+            float(np.mean((gbt_predict(fit(tr, active), ds.X[np.ix_(va, active)])
+                           - ds.y[va]) ** 2))
+            for tr, va in make_folds(ds.n_samples, folds)
+        ]
+        mses[len(active)] = float(np.mean(fold_mses))
+        if len(active) == 1:
+            break
+        imp = gbt_importance(fit(np.arange(ds.n_samples), active))
+        drop = sorted(np.argsort(imp, kind="stable")[: min(step, len(active) - 1)].tolist())
+        order += [active[i] for i in drop]
+        active = [c for i, c in enumerate(active) if i not in drop]
+    best = min(mses, key=lambda c: (mses[c], c))
+    gone = set(order[: ds.n_features - best])
+    return order, mses, [n for i, n in enumerate(ds.feature_names) if i not in gone]
 
 
 def model_dump(model):

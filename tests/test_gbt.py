@@ -417,7 +417,7 @@ class TestMultiRoot:
 
         # whole boosting loops against the public single-fit entry point
         (models,) = _fit_core(X, y, n_estimators, 0.3, max_depth, reg_lambda,
-                              presort, sizes)
+                              presort, sizes).snapshots
         assert len(models) == len(sizes)
         for model, a, b in zip(models, bounds[:-1], bounds[1:]):
             ref = gbt_fit(X[a:b], y[a:b], n_estimators, 0.3, max_depth,
@@ -441,7 +441,7 @@ class TestMultiRoot:
         # model a separate fit of its block with that many trees
         X, y = _random_xy(np.random.default_rng(seed), sizes, n_features, levels)
         out = _fit_core(X, y, max(snapshots), 0.3, max_depth, reg_lambda,
-                        _presort(X, sizes), sizes, snapshots)
+                        _presort(X, sizes), sizes, snapshots).snapshots
         assert len(out) == len(snapshots)
         bounds = np.cumsum([0] + sizes)
         for n_trees, models in zip(snapshots, out):
@@ -450,3 +450,94 @@ class TestMultiRoot:
                 ref = gbt_fit(X[a:b], y[a:b], n_trees, 0.3, max_depth,
                               reg_lambda=reg_lambda)
                 _assert_same_model(model, ref)
+
+
+class TestColumnSubsets:
+    """Split search is separable by feature: dropping columns that won no
+    split leaves every tree, leaf, gain and loss bitwise unchanged."""
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        sizes=st.lists(st.integers(2, 60), min_size=1, max_size=4),
+        n_features=st.integers(2, 6),
+        levels=st.sampled_from([0, 2, 3]),  # 0: continuous; k: k distinct values (ties)
+        max_depth=st.integers(1, 4),
+        n_estimators=st.integers(1, 5),
+        reg_lambda=st.sampled_from([0.0, 1.0, 2.5]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_columns_holding_every_winner_give_the_same_fit(
+            self, sizes, n_features, levels, max_depth, n_estimators, reg_lambda, seed):
+        rng = np.random.default_rng(seed)
+        X, y = _random_xy(rng, sizes, n_features, levels)
+        presort = _presort(X, sizes)
+
+        def superset(trees):
+            won = {int(c) for t in trees for c in t.feature if c >= 0}
+            extra = np.flatnonzero(rng.random(n_features) < 0.5).tolist()
+            return sorted(won.union(extra)) or [int(rng.integers(n_features))]
+
+        def same_tree(sub, full, cols):
+            new_id = {c: i for i, c in enumerate(cols)} | {-1: -1}
+            assert sub.feature.tolist() == [new_id[c] for c in full.feature.tolist()]
+            assert _same_tree(sub, replace(full, feature=sub.feature))
+
+        # one build: trees, each row's leaf and the per-root gain rows
+        trees, leaf, gains = _TreeBuilder(X, sizes, presort, max_depth, reg_lambda).build(y)
+        cols = superset(trees)
+        sub_presort = tuple(a[cols] for a in presort)
+        sub_trees, sub_leaf, sub_gains = _TreeBuilder(
+            X[:, cols], sizes, sub_presort, max_depth, reg_lambda).build(y)
+        for sub, full in zip(sub_trees, trees):
+            same_tree(sub, full, cols)
+        assert np.array_equal(sub_leaf, leaf)
+        assert np.array_equal(sub_gains, gains[:, cols])
+
+        # whole boosting loops of every root
+        (full,) = _fit_core(X, y, n_estimators, 0.3, max_depth, reg_lambda,
+                            presort, sizes).snapshots
+        cols = superset([t for m in full for t in m.trees])
+        (subs,) = _fit_core(X[:, cols], y, n_estimators, 0.3, max_depth, reg_lambda,
+                            tuple(a[cols] for a in presort), sizes).snapshots
+        for sub, model in zip(subs, full):
+            assert sub.base_score == model.base_score
+            assert len(sub.trees) == len(model.trees)
+            for t, u in zip(sub.trees, model.trees):
+                same_tree(t, u, cols)
+            assert np.array_equal(gbt_importance(sub), gbt_importance(model)[cols])
+            assert sub.train_losses == model.train_losses
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        sizes=st.lists(st.integers(2, 60), min_size=1, max_size=4),
+        n_features=st.integers(2, 6),
+        levels=st.sampled_from([0, 2, 3]),
+        max_depth=st.integers(1, 3),
+        snapshots=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        learning_rate=st.sampled_from([0.001, 0.3]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_resumed_fit_equals_a_fresh_fit(self, sizes, n_features, levels, max_depth,
+                                            snapshots, learning_rate, seed):
+        # any column subset of the leading roots, resumed from the full fit
+        rng = np.random.default_rng(seed)
+        X, y = _random_xy(rng, sizes, n_features, levels)
+        presort = _presort(X, sizes)
+        n = max(snapshots)
+        fit = _fit_core(X, y, n + int(rng.integers(0, 3)), learning_rate, max_depth, 1.0,
+                        presort, sizes)
+        keep = np.flatnonzero(rng.random(n_features) < 0.6)
+        keep = keep if keep.size else np.array([n_features - 1])
+        lead = int(rng.integers(1, len(sizes) + 1))
+        m = sum(sizes[:lead])
+        sub_presort = tuple(a[keep, :m] for a in presort)
+        rounds = min(gbt._reusable_rounds(fit.models[:lead], keep), n)
+        resumed = _fit_core(X[:m, keep], y[:m], n, learning_rate, max_depth, 1.0,
+                            None if rounds == n else sub_presort, sizes[:lead], snapshots,
+                            (fit, keep, rounds))
+        fresh = _fit_core(X[:m, keep], y[:m], n, learning_rate, max_depth, 1.0,
+                          sub_presort, sizes[:lead], snapshots)
+        for got, want in zip(resumed.snapshots, fresh.snapshots):
+            for model, ref in zip(got, want):
+                _assert_same_model(model, ref)
+        assert np.array_equal(resumed.importance, fresh.importance)

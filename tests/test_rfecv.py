@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import rfecv_from_scratch
+from pue_forecast import gbt, rfecv
 from pue_forecast.dataset import Dataset, generate_synthetic
 from pue_forecast.gbt import gbt_fit, gbt_importance, gbt_predict
 from pue_forecast.rfecv import (
@@ -243,6 +246,77 @@ class TestGrid:
                 seen.add(tuple(singles[i].selected_features))
                 expected.append(singles[i])
         assert [_bitwise_key(r) for r in results] == [_bitwise_key(r) for r in expected]
+
+    def test_one_group_runs_in_process(self, monkeypatch):
+        ds = generate_synthetic(50, 3, 2, seed=8)
+        kwargs = dict(lr_grid=(0.3,), n_estimators_grid=(4, 9), max_depth_grid=(2,),
+                      top_k=10, folds=4)
+        serial = rfecv_grid(ds, workers=1, **kwargs)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-job grid started a process pool")
+
+        monkeypatch.setattr(rfecv, "ProcessPoolExecutor", no_pool)
+        parallel = rfecv_grid(ds, workers=2, **kwargs)
+        assert [_bitwise_key(r) for r in serial] == [_bitwise_key(r) for r in parallel]
+
+
+class TestResume:
+    """Each feature count resumes from the previous count's trees that never
+    split on a dropped column, bitwise equal to fitting every count afresh."""
+
+    @staticmethod
+    def _scratch_key(cfg, scratch):
+        order, mses, selected = scratch
+        return (cfg, order, {k: repr(v) for k, v in mses.items()}, selected)
+
+    @settings(deadline=None, max_examples=12)
+    @given(
+        lrs=st.lists(st.sampled_from([0.001, 0.01, 0.1, 0.3, 0.5]), min_size=1, max_size=2,
+                     unique=True),
+        depth=st.integers(1, 3),
+        n_noise=st.integers(4, 12),
+        step=st.integers(1, 4),
+        trees=st.lists(st.integers(1, 10), min_size=2, max_size=3, unique=True),
+        seed=st.integers(0, 2**16),
+    )
+    def test_grid_equals_fitting_every_count_from_scratch(self, lrs, depth, n_noise, step,
+                                                          trees, seed):
+        # configs of one (lr, depth) share fits while their active sets agree;
+        # every later count resumes from a previous fit, whether the sets
+        # diverge or meet again
+        ds = generate_synthetic(60, 3, n_noise, seed=seed)
+        results = rfecv_grid(ds, lr_grid=lrs, n_estimators_grid=trees,
+                             max_depth_grid=(depth,), top_k=10**6, step=step, folds=4)
+        scratch = [(cfg, rfecv_from_scratch(ds, cfg, step, 4))
+                   for cfg in expand_grid(lrs, trees, (depth,))]
+        expected, seen = [], set()
+        for cfg, run in sorted(scratch, key=lambda s: min(s[1][1].values())):
+            if tuple(run[2]) not in seen:
+                seen.add(tuple(run[2]))
+                expected.append(self._scratch_key(cfg, run))
+        assert [_bitwise_key(r) for r in results] == expected
+
+    def test_shallow_slow_groups_reuse_rounds(self, monkeypatch, caplog):
+        grown = []
+        build = gbt._TreeBuilder.build
+
+        def spy(self, residual):
+            grown.append(len(residual))
+            return build(self, residual)
+
+        monkeypatch.setattr(gbt._TreeBuilder, "build", spy)
+        ds = generate_synthetic(600, 4, 12, seed=0)
+        cfg = GbtConfig(learning_rate=0.001, n_estimators=10, max_depth=2)
+        with caplog.at_level(logging.INFO, logger="pue_forecast.rfecv"):
+            res = rfecv_run(ds, cfg, step=4, folds=5)
+        rounds = len(res.cv_mse_by_count) * cfg.n_estimators
+        assert 0 < len(grown) < rounds
+        assert [r.getMessage() for r in caplog.records if r.name == "pue_forecast.rfecv"] == [
+            f"rfecv lr=0.001 depth=2: counts 16,12,8,4,1; grew {len(grown)} tree rounds, "
+            f"reused {rounds - len(grown)}"
+        ]
+        assert _bitwise_key(res) == self._scratch_key(cfg, rfecv_from_scratch(ds, cfg, 4, 5))
 
 
 class TestExports:

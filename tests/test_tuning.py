@@ -422,6 +422,20 @@ class TestGridSearch:
                 serial.checkpoints[si].params, parallel.checkpoints[si].params
             )
 
+    def test_one_grid_point_runs_in_process(self, monkeypatch):
+        ds = generate_synthetic(70, 3, 0, seed=15)
+        kwargs = dict(mode="gru", layers_grid=(1,), hidden_grid=(2,), lr_grid=(0.02,),
+                      window_length=3, train_fraction=0.7, max_epochs=6, eval_every=3)
+        serial = grid_search(ds, [list(ds.feature_names)], workers=1, **kwargs)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-job grid started a process pool")
+
+        monkeypatch.setattr(tuning, "ProcessPoolExecutor", no_pool)
+        parallel = grid_search(ds, [list(ds.feature_names)], workers=2, **kwargs)
+        assert serial.records == parallel.records
+        assert np.array_equal(serial.checkpoints[0].params, parallel.checkpoints[0].params)
+
     @pytest.mark.parametrize("on_train_loss", [False, True])
     def test_evaluation_in_the_training_runner_changes_no_byte(
             self, monkeypatch, tmp_path, on_train_loss):
