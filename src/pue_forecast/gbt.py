@@ -317,38 +317,29 @@ class _TreeBuilder:
         return trees, leaf - offset[leaf], gain_by_feature
 
 
-@dataclass
-class _Fit:
-    """One `_fit_core` run: a model list per snapshot count, plus what a later
-    fit on a subset of the columns resumes from.
-
-    `models` holds each root's model after the last round; `importance[t, k]`
-    is root k's running importance after t rounds (row 0 is zeros).
-    """
-
-    snapshots: list[list[GbtModel]]
-    models: list[GbtModel]
-    importance: np.ndarray
-
-
-def _reusable_rounds(models: list[GbtModel], keep) -> int:
-    """How many leading rounds of `models` split only on the columns `keep`.
+def _on_columns(models: list[GbtModel], keep) -> list[GbtModel] | None:
+    """`models` as fits on their columns `keep` (ascending), or None if one of
+    their trees splits on another column.
 
     Split search is separable by feature and a column that never wins a
     split never changes a winner (ties go to the lowest index, and dropping
-    a column keeps the others in order), so a fit on the columns `keep`
-    grows exactly these rounds again, bitwise.
+    a column keeps the others in order), so fitting only the columns `keep`
+    grows these trees again bitwise: the same trees with their column ids
+    renumbered, the same losses and the importances sliced to `keep`.
     """
     kept = np.zeros(models[0].n_features + 1, dtype=bool)
     kept[keep] = True
     kept[-1] = True  # feature -1 marks a leaf
-    rounds = len(models[0].trees)
-    for model in models:
-        for t, tree in enumerate(model.trees[:rounds]):
-            if not kept[tree.feature].all():
-                rounds = t
-                break
-    return rounds
+    if not all(kept[tree.feature].all() for m in models for tree in m.trees):
+        return None
+    new_id = np.full(models[0].n_features + 1, -1)  # the last slot maps leaves
+    new_id[keep] = np.arange(len(keep))
+    return [
+        replace(m, trees=[replace(t, feature=new_id[t.feature]) for t in m.trees],
+                n_features=len(keep), feature_importance=m.feature_importance[keep],
+                train_losses=m.train_losses[:])
+        for m in models
+    ]
 
 
 def gbt_fit(
@@ -390,7 +381,7 @@ def gbt_fit(
     return _fit_core(
         X, y, n_estimators, learning_rate, max_depth, reg_lambda, _presort(X, sizes),
         sizes,
-    ).snapshots[0][0]
+    )[0][0]
 
 
 def _fit_core(
@@ -400,11 +391,10 @@ def _fit_core(
     learning_rate: float,
     max_depth: int,
     reg_lambda: float,
-    presort: tuple | None,
+    presort: tuple,
     sizes,
     snapshots=None,
-    resume: tuple | None = None,
-) -> _Fit:
+) -> list[list[GbtModel]]:
     """Boosting loops of several independent fits, grown tree by tree in lockstep.
 
     Fit k uses the k-th contiguous block of `sizes[k]` rows of X and y;
@@ -413,69 +403,42 @@ def _fit_core(
     `(n_estimators,)`), one model per block equal bitwise to fitting that
     block alone with that many trees: there is no subsampling or early
     stopping, so a t-tree fit is the first t rounds of a longer one, and its
-    importances and losses are those rounds' running sums and record.
-
-    `resume = (fit, keep, rounds)` starts from an earlier `_Fit` whose
-    leading blocks are these rows and whose columns `keep` (ascending) are
-    X's, with `rounds = min(_reusable_rounds(fit.models[:len(sizes)], keep),
-    n_estimators)`. Those rounds are taken, not grown: their trees with the
-    feature ids remapped, their losses and their running importances sliced
-    to `keep`. Each block's running predictions are replayed by routing its
-    rows through them in tree order, then boosting goes on. When they cover
-    every round nothing is grown and `presort` may be None. Inputs are
-    trusted.
+    importances and losses are those rounds' running sums and record. Inputs
+    are trusted.
     """
     snapshots = (n_estimators,) if snapshots is None else tuple(snapshots)
-    n_roots, n_features = len(sizes), X.shape[1]
-    bounds = np.cumsum([0, *sizes]).tolist()
-    blocks = list(zip(bounds[:-1], bounds[1:]))
+    builder = _TreeBuilder(X, sizes, presort, max_depth, reg_lambda)
+    blocks = builder.blocks
+    base = [float(y[a:b].mean()) for a, b in blocks]
+    pred = np.repeat(base, builder.sizes)
     models = [
         GbtModel(
             trees=[],
             learning_rate=learning_rate,
-            base_score=float(y[a:b].mean()),
+            base_score=b,
             reg_lambda=reg_lambda,
-            n_features=n_features,
+            n_features=X.shape[1],
         )
-        for a, b in blocks
+        for b in base
     ]
-    importance = np.zeros((n_estimators + 1, n_roots, n_features))
-    start = 0
-    if resume is not None:
-        fit, keep, start = resume
-        new_id = np.full(fit.importance.shape[2] + 1, -1)  # the last slot maps leaves
-        new_id[keep] = np.arange(n_features)
-        for model, old in zip(models, fit.models):
-            model.trees = [replace(t, feature=new_id[t.feature]) for t in old.trees[:start]]
-            model.train_losses = old.train_losses[:start]
-        importance[: start + 1] = fit.importance[: start + 1, :n_roots][:, :, keep]
-
-    def snapshot(t: int) -> list[GbtModel]:
-        return [
-            replace(m, trees=m.trees[:t], train_losses=m.train_losses[:t],
-                    feature_importance=importance[t, k].copy())
-            for k, m in enumerate(models)
-        ]
-
-    taken = {t: snapshot(t) for t in snapshots if t <= start}
-    if start < n_estimators:
-        builder = _TreeBuilder(X, sizes, presort, max_depth, reg_lambda)
-        pred = np.concatenate([gbt_predict(m, X[a:b]) for m, (a, b) in zip(models, blocks)])
-        for n_trees in range(start + 1, n_estimators + 1):
-            residual = y - pred
-            trees, leaf, gain_by_feature = builder.build(residual)
-            step = np.concatenate([t.value[leaf[a:b]] for t, (a, b) in zip(trees, blocks)])
-            pred = pred + learning_rate * step
-            sq_err = (y - pred) ** 2
-            np.add(importance[n_trees - 1], gain_by_feature, out=importance[n_trees])
-            for k, (model, (a, b)) in enumerate(zip(models, blocks)):
-                model.trees.append(trees[k])
-                model.train_losses.append(float(np.mean(sq_err[a:b])))
-            if n_trees in snapshots:
-                taken[n_trees] = snapshot(n_trees)
-    for k, model in enumerate(models):
-        model.feature_importance = importance[n_estimators, k]
-    return _Fit([taken[t] for t in snapshots], models, importance)
+    taken: dict[int, list[GbtModel]] = {}
+    for n_trees in range(1, n_estimators + 1):
+        residual = y - pred
+        trees, leaf, gain_by_feature = builder.build(residual)
+        step = np.concatenate([t.value[leaf[a:b]] for t, (a, b) in zip(trees, blocks)])
+        pred = pred + learning_rate * step
+        sq_err = (y - pred) ** 2
+        for k, (model, (a, b)) in enumerate(zip(models, blocks)):
+            model.trees.append(trees[k])
+            model.feature_importance += gain_by_feature[k]
+            model.train_losses.append(float(np.mean(sq_err[a:b])))
+        if n_trees in snapshots:
+            taken[n_trees] = [
+                replace(m, trees=m.trees[:], train_losses=m.train_losses[:],
+                        feature_importance=m.feature_importance.copy())
+                for m in models
+            ]
+    return [taken[t] for t in snapshots]
 
 
 def gbt_predict(m: GbtModel, X: np.ndarray, counts=None) -> np.ndarray:

@@ -16,19 +16,18 @@ with more: at every feature count, the configs whose surviving features
 agree share one build of the largest tree count and read their own models
 off it as snapshots, bitwise equal to separate fits.
 
-Each count after the first resumes from the previous count's fit. Exact
+Each count after the first may take the previous count's fit whole. Exact
 greedy split search scores every column on its own and the winner is the
-first maximum, so a column that wins no split never changes a tree.
-Boosting therefore starts at round T: the first round in which the previous
-fit's tree for one of this count's roots (the folds and, above one feature,
-all rows) splits on a dropped column; if none does, every round is reused
-and nothing is grown. Rounds before T keep the previous trees with their
-column ids remapped, their losses and their running importances sliced to
-the surviving columns; each root's running predictions are replayed through
-them in tree order. Results are bitwise equal to fitting every count from
-scratch. It pays for shallow, low-learning-rate groups with many unused
-columns, whose trees keep to the same few columns, at any `step`; deep
-trees soon split on almost every column, so there it rarely applies.
+first maximum, so a column that wins no split never changes a tree. When no
+tree of the previous fit splits on a dropped column in this count's roots
+(the folds and, above one feature, all rows), and that fit holds every tree
+count this count needs, its models are taken with their column ids
+renumbered and their importances sliced to the surviving columns, and
+nothing is grown; otherwise the count is fitted afresh. Results are bitwise
+equal to fitting every count from scratch. It pays for shallow,
+low-learning-rate groups with many unused columns, whose trees keep to the
+same few columns, at any `step`; deep trees soon split on almost every
+column, so there it rarely applies.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, read_json, require_fields, write_rows
-from .gbt import _fit_core, _presort, _reusable_rounds, gbt_importance, gbt_predict
+from .gbt import _fit_core, _on_columns, _presort, gbt_importance, gbt_predict
 
 log = logging.getLogger(__name__)
 
@@ -134,10 +133,10 @@ def _rfecv_group(
     the largest snapshot's trees are routed once per fold to score every
     member's count, and each config then eliminates on its own. The folds'
     training rows and (above one feature) all rows are one stacked root each,
-    presorted once; every call takes column slices of it. Each such group
-    resumes from the fit that scored its first member's previous count (see
-    the module docstring), and one info line reports the counts visited and
-    the tree rounds grown and reused.
+    presorted once; every call takes column slices of it. A group may instead
+    take the fit that scored its first member's previous count (see the
+    module docstring), and one info line reports the counts visited and the
+    tree rounds grown and reused.
     """
     if ds.n_features < 2:
         raise ValueError("need at least 2 features")
@@ -157,7 +156,8 @@ def _rfecv_group(
     actives = [list(range(ds.n_features)) for _ in configs]
     orders: list[list[int]] = [[] for _ in configs]
     mses: list[dict[int, float]] = [{} for _ in configs]
-    # per config, (columns, _Fit) of the fit that scored its last count
+    # per config, the columns and {tree count: models} of the fit that scored
+    # its last count
     last_fit: list[tuple | None] = [None] * len(configs)
     visited: list[int] = []
     grown = reused = 0
@@ -174,29 +174,32 @@ def _rfecv_group(
             cols = list(cols)
             trees = [configs[i].n_estimators for i in members]
             n = max(trees)
-            # resume from the fit that scored a member's last count: its
+            # take the fit that scored a member's last count when it holds
+            # these tree counts and no tree splits on a dropped column; its
             # columns contain these, since elimination only drops columns
-            resume, rounds = None, 0
+            snapshots = None
             if last_fit[members[0]] is not None:
-                prev_cols, prev_fit = last_fit[members[0]]
-                keep = np.searchsorted(prev_cols, cols)
-                rounds = min(_reusable_rounds(prev_fit.models[:n_roots], keep), n)
-                resume = (prev_fit, keep, rounds)
-            try:
-                fit = _fit_core(
-                    X_all[:m, cols], y_all[:m], n, lr, depth, lam,
-                    None if rounds == n else tuple(a[cols, :m] for a in presort),
-                    sizes[:n_roots], trees, resume,
-                )
-            except Exception as exc:
-                raise RuntimeError(
-                    f"estimator failed at feature count {count}: {exc}"
-                ) from exc
-            grown += n - rounds
-            reused += rounds
+                prev_cols, prev = last_fit[members[0]]
+                if prev.keys() >= set(trees):
+                    keep = np.searchsorted(prev_cols, cols)
+                    snapshots = [_on_columns(prev[t][:n_roots], keep) for t in trees]
+                    if None in snapshots:
+                        snapshots = None
+            if snapshots is None:
+                try:
+                    snapshots = _fit_core(
+                        X_all[:m, cols], y_all[:m], n, lr, depth, lam,
+                        tuple(a[cols, :m] for a in presort), sizes[:n_roots], trees,
+                    )
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"estimator failed at feature count {count}: {exc}"
+                    ) from exc
+                grown += n
+            else:
+                reused += n
             for i in members:
-                last_fit[i] = (cols, fit)
-            snapshots = fit.snapshots
+                last_fit[i] = (cols, dict(zip(trees, snapshots)))
             largest = snapshots[trees.index(n)]
             fold_preds = [
                 (gbt_predict(model, Xva[:, cols], trees), yva)

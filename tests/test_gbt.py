@@ -417,7 +417,7 @@ class TestMultiRoot:
 
         # whole boosting loops against the public single-fit entry point
         (models,) = _fit_core(X, y, n_estimators, 0.3, max_depth, reg_lambda,
-                              presort, sizes).snapshots
+                              presort, sizes)
         assert len(models) == len(sizes)
         for model, a, b in zip(models, bounds[:-1], bounds[1:]):
             ref = gbt_fit(X[a:b], y[a:b], n_estimators, 0.3, max_depth,
@@ -441,7 +441,7 @@ class TestMultiRoot:
         # model a separate fit of its block with that many trees
         X, y = _random_xy(np.random.default_rng(seed), sizes, n_features, levels)
         out = _fit_core(X, y, max(snapshots), 0.3, max_depth, reg_lambda,
-                        _presort(X, sizes), sizes, snapshots).snapshots
+                        _presort(X, sizes), sizes, snapshots)
         assert len(out) == len(snapshots)
         bounds = np.cumsum([0] + sizes)
         for n_trees, models in zip(snapshots, out):
@@ -495,10 +495,10 @@ class TestColumnSubsets:
 
         # whole boosting loops of every root
         (full,) = _fit_core(X, y, n_estimators, 0.3, max_depth, reg_lambda,
-                            presort, sizes).snapshots
+                            presort, sizes)
         cols = superset([t for m in full for t in m.trees])
         (subs,) = _fit_core(X[:, cols], y, n_estimators, 0.3, max_depth, reg_lambda,
-                            tuple(a[cols] for a in presort), sizes).snapshots
+                            tuple(a[cols] for a in presort), sizes)
         for sub, model in zip(subs, full):
             assert sub.base_score == model.base_score
             assert len(sub.trees) == len(model.trees)
@@ -506,6 +506,8 @@ class TestColumnSubsets:
                 same_tree(t, u, cols)
             assert np.array_equal(gbt_importance(sub), gbt_importance(model)[cols])
             assert sub.train_losses == model.train_losses
+        for taken, sub in zip(gbt._on_columns(full, cols), subs):
+            _assert_same_model(taken, sub)
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -513,31 +515,28 @@ class TestColumnSubsets:
         n_features=st.integers(2, 6),
         levels=st.sampled_from([0, 2, 3]),
         max_depth=st.integers(1, 3),
-        snapshots=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        n_estimators=st.integers(1, 6),
         learning_rate=st.sampled_from([0.001, 0.3]),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_resumed_fit_equals_a_fresh_fit(self, sizes, n_features, levels, max_depth,
-                                            snapshots, learning_rate, seed):
-        # any column subset of the leading roots, resumed from the full fit
+    def test_models_on_fewer_columns_equal_a_fresh_fit(
+            self, sizes, n_features, levels, max_depth, n_estimators, learning_rate, seed):
+        # any column subset of the leading roots: taken when no tree splits
+        # outside it, and then bitwise the fit on those columns
         rng = np.random.default_rng(seed)
         X, y = _random_xy(rng, sizes, n_features, levels)
         presort = _presort(X, sizes)
-        n = max(snapshots)
-        fit = _fit_core(X, y, n + int(rng.integers(0, 3)), learning_rate, max_depth, 1.0,
-                        presort, sizes)
+        (full,) = _fit_core(X, y, n_estimators, learning_rate, max_depth, 1.0, presort, sizes)
         keep = np.flatnonzero(rng.random(n_features) < 0.6)
         keep = keep if keep.size else np.array([n_features - 1])
         lead = int(rng.integers(1, len(sizes) + 1))
         m = sum(sizes[:lead])
-        sub_presort = tuple(a[keep, :m] for a in presort)
-        rounds = min(gbt._reusable_rounds(fit.models[:lead], keep), n)
-        resumed = _fit_core(X[:m, keep], y[:m], n, learning_rate, max_depth, 1.0,
-                            None if rounds == n else sub_presort, sizes[:lead], snapshots,
-                            (fit, keep, rounds))
-        fresh = _fit_core(X[:m, keep], y[:m], n, learning_rate, max_depth, 1.0,
-                          sub_presort, sizes[:lead], snapshots)
-        for got, want in zip(resumed.snapshots, fresh.snapshots):
-            for model, ref in zip(got, want):
+        taken = gbt._on_columns(full[:lead], keep)
+        splits = {int(c) for model in full[:lead] for t in model.trees for c in t.feature}
+        assert (taken is None) == bool(splits - {-1} - set(keep.tolist()))
+        if taken is not None:
+            (fresh,) = _fit_core(X[:m, keep], y[:m], n_estimators, learning_rate, max_depth,
+                                 1.0, tuple(a[keep, :m] for a in presort), sizes[:lead])
+            for model, ref in zip(taken, fresh):
+                assert model.n_features == ref.n_features
                 _assert_same_model(model, ref)
-        assert np.array_equal(resumed.importance, fresh.importance)
