@@ -506,8 +506,6 @@ class TestColumnSubsets:
                 same_tree(t, u, cols)
             assert np.array_equal(gbt_importance(sub), gbt_importance(model)[cols])
             assert sub.train_losses == model.train_losses
-        for taken, sub in zip(gbt._on_columns(full, cols), subs):
-            _assert_same_model(taken, sub)
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -521,20 +519,23 @@ class TestColumnSubsets:
     )
     def test_models_on_fewer_columns_equal_a_fresh_fit(
             self, sizes, n_features, levels, max_depth, n_estimators, learning_rate, seed):
-        # any column subset of the leading roots: taken when no tree splits
-        # outside it, and then bitwise the fit on those columns
+        # column subsets of the leading roots, one of them holding every
+        # split: taken when no tree splits outside it, and then bitwise the
+        # fit on those columns
         rng = np.random.default_rng(seed)
         X, y = _random_xy(rng, sizes, n_features, levels)
         presort = _presort(X, sizes)
         (full,) = _fit_core(X, y, n_estimators, learning_rate, max_depth, 1.0, presort, sizes)
-        keep = np.flatnonzero(rng.random(n_features) < 0.6)
-        keep = keep if keep.size else np.array([n_features - 1])
         lead = int(rng.integers(1, len(sizes) + 1))
         m = sum(sizes[:lead])
-        taken = gbt._on_columns(full[:lead], keep)
-        splits = {int(c) for model in full[:lead] for t in model.trees for c in t.feature}
-        assert (taken is None) == bool(splits - {-1} - set(keep.tolist()))
-        if taken is not None:
+        splits = {int(c) for model in full[:lead] for t in model.trees for c in t.feature} - {-1}
+        drawn = set(np.flatnonzero(rng.random(n_features) < 0.6).tolist()) or {n_features - 1}
+        for keep in (drawn, drawn | splits):
+            keep = np.array(sorted(keep))
+            taken = gbt._on_columns(full[:lead], keep)
+            assert (taken is None) == bool(splits - set(keep.tolist()))
+            if taken is None:
+                continue
             (fresh,) = _fit_core(X[:m, keep], y[:m], n_estimators, learning_rate, max_depth,
                                  1.0, tuple(a[keep, :m] for a in presort), sizes[:lead])
             for model, ref in zip(taken, fresh):
