@@ -13,6 +13,11 @@ cells' per-step hidden states (elementwise, not concatenation). Stacked layers
 consume the previous layer's full output sequence; the readout is an affine map
 of the final layer's last-step state.
 
+A model's arrays (from init_params, Checkpoint.to_model or backward_batch) are
+views of one float64 vector, its `params`, in payload order (param_shapes): a
+checkpoint stores that vector as it is, Adam updates it with a few ufunc calls,
+and the tiles of a batch sum gradient vectors.
+
 Training and prediction run a batch in window tiles (TileRunner): near-equal
 slices of the B windows, each small enough that one step's [rows, H] block
 stays in a core's cache. A training tile runs its forward pass, its share of
@@ -21,9 +26,9 @@ backward pass reads caches that are still warm, and memory follows the tile
 size, not B. Tile i runs in slot i % 2: slot 0 on the caller's thread and slot
 1 on a second thread that lives for one call (numpy releases the GIL inside
 its ufunc loops and BLAS calls, so the two overlap). Each slot adds its tiles'
-gradients in tile order and the two sums are added slot 0 first after the
-join; predictions land in their own rows. So every result is bitwise the same
-whichever thread ran a slot and however the two interleaved. A batch of one
+gradient vectors in tile order and the two sums are added slot 0 first after
+the join; predictions land in their own rows. So every result is bitwise the
+same whichever thread ran a slot and however the two interleaved. A batch of one
 tile runs on the caller's thread, where handing the GIL back and forth between
 small numpy calls would cost more than the overlap saves. The thread is joined
 also when either side raises, and an error in slot 1 reaches the caller.
@@ -68,7 +73,7 @@ import numpy as np
 
 MatMul = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 Take = Callable[[tuple], np.ndarray]
-Grads = Optional[list]
+Grads = Optional[np.ndarray]
 
 # Most elements in one step's [rows, H] block of a tile: a tile has at most
 # ceil(_TILE_ELEMENTS / H) rows (328 at H=50). On 2 cores with one BLAS thread,
@@ -116,8 +121,7 @@ class GruParams:
 
     def __post_init__(self):
         h, i = self.U_r.shape
-        for name, arr in self.param_items():
-            expect = (h, h) if name.startswith("W") else (h, i) if name.startswith("U") else (h,)
+        for (name, arr), (_, expect) in zip(self.param_items(), _cell_shapes(i, h)):
             if arr.shape != expect:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {expect}")
 
@@ -134,12 +138,13 @@ class GruParams:
 
     @staticmethod
     def zeros(input_dim: int, hidden_dim: int) -> "GruParams":
-        h, i = hidden_dim, input_dim
-        return GruParams(
-            W_r=np.zeros((h, h)), W_z=np.zeros((h, h)), W_h=np.zeros((h, h)),
-            U_r=np.zeros((h, i)), U_z=np.zeros((h, i)), U_h=np.zeros((h, i)),
-            b_r=np.zeros(h), b_z=np.zeros(h), b_h=np.zeros(h),
-        )
+        return GruParams(*(np.zeros(s) for _, s in _cell_shapes(input_dim, hidden_dim)))
+
+
+def _cell_shapes(input_dim: int, hidden_dim: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each array of a cell, in GruParams field order."""
+    dims = {"W": (hidden_dim, hidden_dim), "U": (hidden_dim, input_dim), "b": (hidden_dim,)}
+    return [(f.name, dims[f.name[0]]) for f in fields(GruParams)]
 
 
 @dataclass
@@ -175,19 +180,16 @@ def _cells(layer: GruParams | BiGruLayer) -> tuple[GruParams, ...]:
     return (layer.forward, layer.backward) if isinstance(layer, BiGruLayer) else (layer,)
 
 
-def _layer(cells: list[GruParams]) -> GruParams | BiGruLayer:
-    """The layer made of `cells`, the inverse of _cells."""
-    return BiGruLayer(*cells) if len(cells) == 2 else cells[0]
-
-
 @dataclass
 class Model:
-    """A stack of GRU or BiGRU layers with a scalar affine readout."""
+    """A stack of GRU or BiGRU layers with a scalar affine readout; `params` is
+    the vector its arrays view, None for a model built from separate arrays."""
 
     layers: list
     w_o: np.ndarray
     b_o: np.ndarray  # shape (1,)
     mode: str
+    params: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in _CELLS_PER_LAYER:
@@ -217,30 +219,48 @@ class Model:
         return sum(a.size for a in self.param_arrays())
 
 
+def param_shapes(
+    n_features: int, hidden_dim: int, n_layers: int, mode: str
+) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each array of an init_params model, in payload order."""
+    if n_features < 1 or hidden_dim < 1 or n_layers < 1:
+        raise ValueError("dimensions must be positive")
+    if mode not in _CELLS_PER_LAYER:
+        raise ValueError(f"unknown mode {mode!r}")
+    h, tags = hidden_dim, ["fwd.", "bwd."] if mode == "bigru" else [""]
+    shapes = [(f"layer{k}.{tag}{name}", shape) for k in range(n_layers) for tag in tags
+              for name, shape in _cell_shapes(n_features if k == 0 else h, h)]
+    return shapes + [("head.w_o", (h,)), ("head.b_o", (1,))]
+
+
+def _carve(params: np.ndarray, shapes: list, mode: str) -> Model:
+    """The `mode` model whose arrays, shaped as `shapes` lists them in payload
+    order, are consecutive views of the vector `params`."""
+    views, end = [], 0
+    for _, shape in shapes:
+        start, end = end, end + math.prod(shape)
+        views.append(params[start:end].reshape(shape))
+    if end != params.size:
+        raise ValueError(f"parameter vector has {params.size} values, expected {end}")
+    n = len(fields(GruParams))
+    cells = [GruParams(*views[i : i + n]) for i in range(0, len(views) - 2, n)]
+    layers = cells if mode == "gru" else [BiGruLayer(*c) for c in zip(cells[::2], cells[1::2])]
+    return Model(layers, views[-2], views[-1], mode, params)
+
+
 def init_params(
     n_features: int, hidden_dim: int, n_layers: int, mode: str, seed: int
 ) -> Model:
     """Deterministically initialise a model: weights uniform(-k, k) with
-    k = 1/sqrt(hidden_dim), biases zero."""
-    if n_features < 1 or hidden_dim < 1 or n_layers < 1:
-        raise ValueError("dimensions must be positive")
+    k = 1/sqrt(hidden_dim), drawn array by array in payload order, biases zero."""
+    shapes = param_shapes(n_features, hidden_dim, n_layers, mode)
+    model = _carve(np.zeros(sum(math.prod(s) for _, s in shapes)), shapes, mode)
     rng = np.random.default_rng(int(seed))
     k = 1.0 / np.sqrt(hidden_dim)
-
-    def cell(input_dim: int) -> GruParams:
-        h = hidden_dim
-        mats = [rng.uniform(-k, k, size=s) for s in
-                [(h, h)] * 3 + [(h, input_dim)] * 3]
-        return GruParams(*mats, b_r=np.zeros(h), b_z=np.zeros(h), b_h=np.zeros(h))
-
-    n_cells = _CELLS_PER_LAYER.get(mode, 1)  # Model rejects an unknown mode
-    layers = []
-    in_dim = n_features
-    for _ in range(n_layers):
-        layers.append(_layer([cell(in_dim) for _ in range(n_cells)]))
-        in_dim = hidden_dim
-    w_o = rng.uniform(-k, k, size=hidden_dim)
-    return Model(layers=layers, w_o=w_o, b_o=np.zeros(1), mode=mode)
+    for name, arr in model.param_items():
+        if not name.rsplit(".", 1)[1].startswith("b_"):
+            arr[...] = rng.uniform(-k, k, size=arr.shape)
+    return model
 
 
 @dataclass
@@ -303,8 +323,8 @@ class Workspace:
         n = sum(math.prod(shape) for shape in shapes)
         self._block = np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
         self._used = 0
-        # where TileRunner.run sums the gradients of the workspace's tiles
-        self.grad_sum = [np.empty_like(a) for a in model.param_arrays()]
+        # where TileRunner.run sums the gradient vectors of the workspace's tiles
+        self.grad_sum = np.empty(model.n_params())
 
     def restart(self) -> Take:
         """Hand out the block from its front again; returns self.take."""
@@ -344,10 +364,10 @@ def _forward_buffers(model: Model, W: int, B: int, take: Take) -> tuple:
 
 
 def _backward_buffers(model: Model, W: int, B: int, take: Take) -> tuple:
-    """Every array a backward pass over B windows of W steps fills: the final
-    layer's output grad, then per layer and cell the state grad, step scratch,
-    input grad and product scratch. The bottom layer's cells go without the
-    last two, because nothing reads the gradient of the model's input."""
+    """Every array a backward pass over B windows of W steps fills: the parameter
+    grad vector, the final layer's output grad, then per layer and cell the state
+    grad, step scratch, input grad and product scratch. The bottom layer's cells
+    go without the last two, because nothing reads the gradient of the model's input."""
 
     def cell(layer, input_grad: bool) -> tuple:
         H, I, n = layer.hidden_dim, layer.input_dim, W * B
@@ -355,7 +375,7 @@ def _backward_buffers(model: Model, W: int, B: int, take: Take) -> tuple:
             return take((B, H)), take((2, B, H)), None, None
         return take((B, H)), take((2, B, H)), take((n, I)), take((n, I))
 
-    return (take((W, B, model.layers[-1].hidden_dim)),
+    return (take((model.n_params(),)), take((W, B, model.layers[-1].hidden_dim)),
             [[cell(layer, k > 0) for _ in _cells(layer)] for k, layer in enumerate(model.layers)])
 
 
@@ -391,9 +411,9 @@ def _gru_scan(
 
 
 def _gru_scan_backward(
-    p: GruParams, cache: ScanCache, d_out: np.ndarray, buffers: tuple,
-) -> tuple[GruParams, np.ndarray | None]:
-    """Backprop one scan; returns (parameter grads as a GruParams, d_input_seq).
+    p: GruParams, cache: ScanCache, d_out: np.ndarray, buffers: tuple, grads: GruParams,
+) -> np.ndarray | None:
+    """Backprop one scan into the parameter grads `grads`; returns d_input_seq.
 
     Works in one cell's `buffers` from _backward_buffers; without an input grad
     buffer it skips d_input_seq and returns None for it. Writes the gate
@@ -428,17 +448,19 @@ def _gru_scan_backward(
 
     n = W * B
     da = g.reshape(3, n, H)
-    da_t = da.transpose(0, 2, 1)
-    d_U = np.matmul(da_t, cache.seq.reshape(n, -1))
-    d_W = np.matmul(da_t[:2], cache.states[rev : rev + W].reshape(n, H))
-    d_W_h = da_t[2] @ cache.rh.reshape(n, H)
-    grads = GruParams(*d_W, d_W_h, *d_U, *da.sum(axis=1))
+    seq, h_prev = cache.seq.reshape(n, -1), cache.states[rev : rev + W].reshape(n, H)
+    for da_k, d_W, d_U, d_b, operand in zip(
+            da, (grads.W_r, grads.W_z, grads.W_h), (grads.U_r, grads.U_z, grads.U_h),
+            (grads.b_r, grads.b_z, grads.b_h), (h_prev, h_prev, cache.rh.reshape(n, H))):
+        np.matmul(da_k.T, operand, out=d_W)
+        np.matmul(da_k.T, seq, out=d_U)
+        np.sum(da_k, axis=0, out=d_b)
     if d_seq is None:
-        return grads, None
+        return None
     np.matmul(da[0], p.U_r, d_seq)
     d_seq += np.matmul(da[1], p.U_z, d_more)
     d_seq += np.matmul(da[2], p.U_h, d_more)
-    return grads, d_seq.reshape(W, B, -1)
+    return d_seq.reshape(W, B, -1)
 
 
 def _layer_forward(
@@ -512,7 +534,8 @@ def forward_batch(
 def backward_batch(
     model: Model, cache: ModelCache, d_pred: np.ndarray
 ) -> Model:
-    """Backprop scalar-prediction grads [B] to a Model-shaped gradient container.
+    """Backprop scalar-prediction grads [B] to a gradient Model shaped as `model`,
+    whose arrays view one vector from the cache's workspace (allocated without).
 
     Consumes the cache: its gate values are overwritten with gradients.
     """
@@ -521,25 +544,21 @@ def backward_batch(
     d_pred = np.asarray(d_pred, dtype=np.float64).reshape(-1)
     if cache.last_hidden.shape[0] != d_pred.shape[0]:
         raise ValueError("cache batch size does not match gradient batch size")
-    dw_o = cache.last_hidden.T @ d_pred
-    db_o = np.array([d_pred.sum()])
-
     W, B = cache.layers[-1][0].seq.shape[:2]
-    d_seq, layer_buffers = _backward_buffers(model, W, B, cache.take)
+    flat, d_seq, layer_buffers = _backward_buffers(model, W, B, cache.take)
+    grads = _carve(flat, [(n, a.shape) for n, a in model.param_items()], model.mode)
+    np.matmul(cache.last_hidden.T, d_pred, out=grads.w_o)
+    grads.b_o[0] = d_pred.sum()
     d_seq.fill(0.0)
     np.multiply(d_pred[:, None], model.w_o[None, :], out=d_seq[-1])
-    grad_layers = []
-    for layer, scans, buffers in zip(reversed(model.layers), reversed(cache.layers),
-                                     reversed(layer_buffers)):
-        grads = [_gru_scan_backward(p, c, d_seq, bufs)
-                 for p, c, bufs in zip(_cells(layer), scans, buffers)]
-        grad_layers.append(_layer([g for g, _ in grads]))
-        d_seq = grads[0][1]
+    for k in reversed(range(len(model.layers))):
+        d_seqs = [_gru_scan_backward(p, c, d_seq, bufs, g) for p, c, bufs, g in zip(
+            _cells(model.layers[k]), cache.layers[k], layer_buffers[k], _cells(grads.layers[k]))]
+        d_seq = d_seqs[0]
         if d_seq is not None:
-            for _, more in grads[1:]:
+            for more in d_seqs[1:]:
                 d_seq += more
-    grad_layers.reverse()
-    return Model(layers=grad_layers, w_o=dw_o, b_o=db_o, mode=model.mode)
+    return grads
 
 
 def model_forward(model: Model, X_seq: np.ndarray) -> tuple[float, ModelCache]:
@@ -556,17 +575,15 @@ def model_backward(model: Model, caches: ModelCache, dLoss_dPred: float) -> Mode
     return backward_batch(model, caches, np.array([float(dLoss_dPred)]))
 
 
-def _accumulate(total: Grads, grads: Grads, into: list) -> Grads:
+def _accumulate(total: Grads, grads: Grads, into: np.ndarray) -> Grads:
     """total + grads, summed in place; a None total starts as a copy of grads
-    in the arrays `into`, and None grads leave total as it is."""
+    in `into`, and None grads leave total as it is."""
     if grads is not None:
         if total is None:
             total = into
-            for t, g in zip(total, grads):
-                np.copyto(t, g)
+            np.copyto(total, grads)
         else:
-            for t, g in zip(total, grads):
-                t += g
+            total += grads
     return total
 
 
@@ -589,14 +606,14 @@ class TileRunner:
 
     def run(self, B: int, tile: Callable[[Workspace, int, int], Grads]) -> Grads:
         """Call tile(workspace, a, b) for every tile [a, b) of a batch of B
-        windows and return the sum of the gradient lists it returns, None for
+        windows and return the sum of the gradient vectors it returns, None for
         none; the sum is valid until the next run.
 
         Tile i runs in slot i % 2 with that slot's workspace: slot 0 on this
         thread, slot 1 meanwhile on a second thread, which is joined before
         this returns, also when either side raises; an error from slot 1 is
         re-raised here (chained to slot 0's if both fail). Each slot adds its
-        tiles' lists in tile order into its workspace's grad_sum, and slot 1's
+        tiles' vectors in tile order into its workspace's grad_sum, and slot 1's
         sum is added to slot 0's."""
 
         tiles = self.tiles(B)

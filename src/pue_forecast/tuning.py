@@ -3,9 +3,10 @@
 Training is full-batch: every epoch applies one Adam step with the gradient of
 the mean squared error over all training windows, which rnn.TileRunner forms
 window tile by window tile; the held-out evaluations run in the same runner's
-workspaces. Held-out metrics are computed on a fixed cadence and the
-checkpoint keeps the parameters of the best evaluation seen, never the final
-epoch's weights.
+workspaces. Parameters, gradient and Adam moments are each one vector in
+payload order, so a step is a few ufunc calls and a new best is one copy.
+Held-out metrics are computed on a fixed cadence and the checkpoint keeps the
+parameters of the best evaluation seen, never the final epoch's weights.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .dataset import (
     write_rows,
 )
 from .metrics import MetricsReport, evaluate
-from .rnn import Model, TileRunner, backward_batch, forward_batch, init_params, predict_batch
+from .rnn import (Model, TileRunner, _carve, backward_batch, forward_batch, init_params,
+                  param_shapes, predict_batch)
 
 log = logging.getLogger(__name__)
 
@@ -116,35 +118,30 @@ class TrainHistory:
 
 
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    moments: tuple[list[np.ndarray], list[np.ndarray]],
+    params: np.ndarray,
+    grads: np.ndarray,
+    moments: tuple[np.ndarray, np.ndarray],
     t: int,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[list[np.ndarray], tuple[list[np.ndarray], list[np.ndarray]]]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """One bias-corrected Adam update, applied elementwise in place.
 
-    `moments` is the pair (first, second) of running-moment arrays matching
+    `moments` is the pair (first, second) of running-moment arrays shaped as
     `params`; `t` is the 1-based step count.
     """
     if t < 1:
         raise ValueError("step count t must be >= 1")
     m, v = moments
-    if not (len(params) == len(grads) == len(m) == len(v)):
-        raise ValueError("params, grads and moments must have matching lengths")
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
-    for p, g, mi, vi in zip(params, grads, m, v):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        mi *= beta1
-        mi += (1.0 - beta1) * g
-        vi *= beta2
-        vi += (1.0 - beta2) * (g * g)
-        p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+    if not (params.shape == grads.shape == m.shape == v.shape):
+        raise ValueError(f"gradient or moment shape differs from parameter shape {params.shape}")
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    v += (1.0 - beta2) * (grads * grads)
+    params -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
     return params, (m, v)
 
 
@@ -171,19 +168,12 @@ class Checkpoint:
     @property
     def shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         """(name, shape) of each parameter array in payload order, from the config."""
-        return [(n, a.shape) for n, a in _skeleton(self.config, self.n_features).param_items()]
+        c = self.config
+        return param_shapes(self.n_features, c.hidden_dim, c.layers, c.mode)
 
     def to_model(self) -> Model:
-        model = _skeleton(self.config, self.n_features)
-        offset = 0
-        for arr in model.param_arrays():
-            arr[...] = self.params[offset : offset + arr.size].reshape(arr.shape)
-            offset += arr.size
-        if offset != self.params.size:
-            raise ValueError(
-                f"parameter payload has {self.params.size} values, expected {offset}"
-            )
-        return model
+        """The model whose arrays view a copy of params."""
+        return _carve(self.params.copy(), self.shapes, self.config.mode)
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         return predict_batch(self.to_model(), windows)
@@ -237,8 +227,8 @@ class Checkpoint:
         for name, value, ok, want in checks:
             if not ok:
                 raise ValueError(f"{path}: field {name!r} must be {want}, got {value!r}")
-        skeleton = _skeleton(config, n_features)
-        want = [[n, list(a.shape)] for n, a in skeleton.param_items()]
+        shapes = param_shapes(n_features, config.hidden_dim, config.layers, config.mode)
+        want = [[n, list(s)] for n, s in shapes]
         got = doc["shapes"] if isinstance(doc["shapes"], list) else [doc["shapes"]]
         if got != want:  # a missing entry reads as None
             i, g, w = next((i, g, w) for i, (g, w) in
@@ -249,7 +239,7 @@ class Checkpoint:
             payload = base64.b64decode(doc["params_b64"], validate=True)
         except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
             raise ValueError(f"{path}: field 'params_b64' is not base64: {exc}") from None
-        expected = skeleton.n_params()
+        expected = sum(math.prod(s) for _, s in shapes)
         if len(payload) != 8 * expected:
             raise ValueError(
                 f"{path}: field 'params_b64' holds {len(payload)} bytes; the "
@@ -275,15 +265,6 @@ def _construct(path: str | Path, field: str, cls: type, fields: dict):
         return cls(**fields)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: field {field!r}: {exc}") from None
-
-
-def _skeleton(config: TrainConfig, n_features: int) -> Model:
-    """A model laid out as `config` gives for `n_features` inputs."""
-    return init_params(n_features, config.hidden_dim, config.layers, config.mode, seed=0)
-
-
-def _flat_params(model: Model) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in model.param_arrays()])
 
 
 def train(
@@ -312,9 +293,8 @@ def train(
             f"{want}, train {ws_train.windows.shape[1:]}, eval {ws_eval.windows.shape[1:]}"
         )
     model = init_params(n_features, cfg.hidden_dim, cfg.layers, cfg.mode, cfg.seed)
-    params = model.param_arrays()
-    m1 = [np.zeros_like(a) for a in params]
-    m2 = [np.zeros_like(a) for a in params]
+    shapes = param_shapes(n_features, cfg.hidden_dim, cfg.layers, cfg.mode)
+    m1, m2 = np.zeros_like(model.params), np.zeros_like(model.params)
 
     X = ws_train.windows
     y = ws_train.targets
@@ -322,9 +302,9 @@ def train(
     runner = TileRunner(model, cfg.window)
     pred = np.empty(B)
 
-    def tile(workspace, a: int, b: int) -> list[np.ndarray] | None:
+    def tile(workspace, a: int, b: int) -> np.ndarray | None:
         """Forward windows [a, b) and backpropagate their share of the loss
-        while their caches are warm; returns their gradient arrays, or None
+        while their caches are warm; returns their gradient vector, or None
         without a learning rate or when their loss is not finite, which the
         epoch's loss check reports."""
         pred[a:b], cache = forward_batch(model, X[a:b], exact=False, workspace=workspace)
@@ -333,7 +313,7 @@ def train(
             finite = math.isfinite(float(np.sum(err * err)))
         if cfg.learning_rate == 0.0 or not finite:
             return None
-        return backward_batch(model, cache, 2.0 * err / B).param_arrays()
+        return backward_batch(model, cache, 2.0 * err / B).params
 
     history = TrainHistory()
     best_loss = np.inf
@@ -343,7 +323,7 @@ def train(
     last_finite = np.nan
 
     for epoch in range(1, cfg.max_epochs + 1):
-        garrs = runner.run(B, tile)
+        grads = runner.run(B, tile)
         err = pred - y
         with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
             loss = float(np.mean(err * err))
@@ -354,17 +334,17 @@ def train(
         if cfg.checkpoint_on_train_loss and loss < best_loss:  # the params that gave `loss`
             best_loss = loss
             best_epoch = epoch
-            best_params = _flat_params(model)
+            best_params = model.params.copy()
 
-        if garrs is not None:
+        if grads is not None:
             if cfg.grad_clip is not None:
-                norm = float(np.sqrt(sum(float((g * g).sum()) for g in garrs)))
+                # per-array sums added in Python: one whole-vector sum rounds differently
+                views = _carve(grads, shapes, cfg.mode).param_arrays()
+                norm = float(np.sqrt(sum(float((g * g).sum()) for g in views)))
                 if norm > cfg.grad_clip:
-                    scale = cfg.grad_clip / norm
-                    for g in garrs:
-                        g *= scale
+                    grads *= cfg.grad_clip / norm
             adam_step(
-                params, garrs, (m1, m2), t=epoch, lr=cfg.learning_rate,
+                model.params, grads, (m1, m2), t=epoch, lr=cfg.learning_rate,
                 beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
             )
 
@@ -378,7 +358,7 @@ def train(
             if not cfg.checkpoint_on_train_loss and rep.mse < best_loss:
                 best_loss = rep.mse
                 best_epoch = epoch
-                best_params = _flat_params(model)
+                best_params = model.params.copy()
                 best_metrics = rep
 
     assert best_params is not None  # eval_every <= max_epochs guarantees one eval
@@ -486,7 +466,8 @@ def _run_job(job: _Job) -> tuple[TuneRecord, Checkpoint | None]:
         layers=cfg.layers,
         hidden_dim=cfg.hidden_dim,
         learning_rate=cfg.learning_rate,
-        n_params=_skeleton(cfg, n_feat).n_params(),
+        n_params=sum(math.prod(s) for _, s in
+                     param_shapes(n_feat, cfg.hidden_dim, cfg.layers, cfg.mode)),
     )
     try:
         ckpt, _history = train(job.ws_train, job.ws_eval, cfg, job.normalization)

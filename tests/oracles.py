@@ -57,6 +57,44 @@ def random_config_check(seed, max_features=4, max_hidden=4, max_layers=2,
     return finite_diff_worst_rel_err(model, X, eps=eps)
 
 
+# ------------------------------------------------------------ clipped Adam
+
+def clipped_adam(cfg, X, y, epochs):
+    """Parameters in payload order after `epochs` full-batch Adam steps from
+    init_params on the mean squared error of windows X, targets y, and the
+    gradient norm of each step.
+
+    Each step backpropagates the whole batch at once, so it matches training
+    whose batch is one tile. The norm sums each gradient array's squares on
+    its own and adds those sums in Python; a gradient whose norm exceeds
+    cfg.grad_clip is scaled down to it. The update is the Adam recurrence in
+    Python floats, one element at a time."""
+    from pue_forecast.rnn import backward_batch, init_params
+
+    model = init_params(X.shape[2], cfg.hidden_dim, cfg.layers, cfg.mode, cfg.seed)
+    b1, b2, B = cfg.beta1, cfg.beta2, X.shape[0]
+    moments = [[(0.0, 0.0)] * a.size for a in model.param_arrays()]
+    norms = []
+    for t in range(1, epochs + 1):
+        pred, cache = forward_batch(model, X, exact=False)
+        grads = backward_batch(model, cache, 2.0 * (pred - y) / B).param_arrays()
+        norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
+        norms.append(norm)
+        scale = cfg.grad_clip / norm if norm > cfg.grad_clip else None
+        for p, g, mv in zip(model.param_arrays(), grads, moments):
+            flat = p.reshape(-1)
+            for i, gi in enumerate(g.reshape(-1).tolist()):
+                if scale is not None:
+                    gi = gi * scale
+                m, v = mv[i]
+                m = b1 * m + (1.0 - b1) * gi
+                v = b2 * v + (1.0 - b2) * (gi * gi)
+                mv[i] = (m, v)
+                flat[i] = flat[i] - cfg.learning_rate * (m / (1.0 - b1**t)) / (
+                    math.sqrt(v / (1.0 - b2**t)) + cfg.eps)
+    return np.concatenate([a.ravel() for a in model.param_arrays()]), norms
+
+
 # ------------------------------------------------------ serial layer scans
 
 def serial_cells(model, X, d_pred, exact):
@@ -89,13 +127,14 @@ def serial_cells(model, X, d_pred, exact):
     grads = []
     for layer, layer_caches in zip(reversed(model.layers), reversed(caches)):
         W, B, _ = d_seq.shape
+        cells = [(p, GruParams.zeros(p.input_dim, p.hidden_dim)) for p in rnn._cells(layer)]
         back = [rnn._gru_scan_backward(p, cache, d_seq, (
                     np.empty((B, p.hidden_dim)), np.empty((2, B, p.hidden_dim)),
-                    np.empty((W * B, p.input_dim)), np.empty((W * B, p.input_dim))))
-                for p, cache in zip(rnn._cells(layer), layer_caches)]
-        grads = [a for g, _ in back for _, a in g.param_items()] + grads
-        d_seq = back[0][1]
-        for _, d in back[1:]:
+                    np.empty((W * B, p.input_dim)), np.empty((W * B, p.input_dim))), g)
+                for (p, g), cache in zip(cells, layer_caches)]
+        grads = [a for _, g in cells for _, a in g.param_items()] + grads
+        d_seq = back[0]
+        for d in back[1:]:
             d_seq = d_seq + d
     grads += [last.T @ d_pred, np.array([d_pred.sum()])]
     return pred, grads

@@ -268,12 +268,18 @@ def tiled_step(model, X, y, runner=None):
 
     def tile(workspace, a, b):
         pred[a:b], cache = forward_batch(model, X[a:b], exact=False, workspace=workspace)
-        return backward_batch(model, cache, 2.0 * (pred[a:b] - y[a:b]) / B).param_arrays()
+        return backward_batch(model, cache, 2.0 * (pred[a:b] - y[a:b]) / B).params
 
     if runner is None:
         runner = rnn.TileRunner(model, X.shape[1])
     grads = runner.run(B, tile)
-    return float(np.mean((pred - y) ** 2)), pred, grads
+    return float(np.mean((pred - y) ** 2)), pred, per_array(model, grads)
+
+
+def per_array(model, flat):
+    """The gradient vector `flat` of `model` split into one flat array per
+    parameter array, in payload order."""
+    return np.split(flat, np.cumsum([a.size for a in model.param_arrays()])[:-1])
 
 
 def close(got, want, rel):
@@ -334,7 +340,8 @@ class TestTileRunner:
         y = rng.standard_normal(batch)
         want_pred, cache = forward_batch(model, X, exact=False)
         want_loss = float(np.mean((want_pred - y) ** 2))
-        want_grads = backward_batch(model, cache, 2.0 * (want_pred - y) / batch).param_arrays()
+        want_grads = per_array(
+            model, backward_batch(model, cache, 2.0 * (want_pred - y) / batch).params)
         exact = forward_batch(model, X, exact=True)[0]
         with mock.patch.object(rnn, "_TILE_ELEMENTS", rows * hidden):
             loss, pred, grads = tiled_step(model, X, y)
@@ -484,7 +491,8 @@ class TestTileRunner:
         20 tiles of the same size: the peak tracemalloc counts, which sees every
         numpy allocation but not the page-mapped workspace blocks, plus the
         bytes of those blocks. Python objects (the tile list, free lists) add a
-        few KB for more tiles; one tile's gradient arrays alone are 385 KB here."""
+        few KB for more tiles; one tile's gradient vector alone is 385 KB here,
+        and it too is carved from the workspace block."""
         model = init_params(8, 50, 2, "bigru", seed=3)
         rows = -(-rnn._TILE_ELEMENTS // 50)
         rng = np.random.default_rng(4)
@@ -498,7 +506,7 @@ class TestTileRunner:
             def tile(workspace, a, b):
                 pred[a:b], cache = forward_batch(model, X[a:b], exact=False,
                                                  workspace=workspace)
-                return backward_batch(model, cache, 2.0 * (pred[a:b] - y[a:b]) / B).param_arrays()
+                return backward_batch(model, cache, 2.0 * (pred[a:b] - y[a:b]) / B).params
 
             tracemalloc.start()
             try:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import clipped_adam
 from pue_forecast import rnn, tuning
 from pue_forecast.dataset import (
     NormalizationParams,
@@ -28,7 +30,6 @@ from pue_forecast.tuning import (
     TuneRecord,
     TuneReport,
     _Job,
-    _flat_params,
     _run_job,
     adam_step,
     grid_search,
@@ -50,12 +51,9 @@ def unit_norm(n_features):
 
 class TestAdam:
     def test_zero_gradient_first_step_is_identity(self):
-        p = [np.array([1.0, -2.0]), np.array([[3.0]])]
-        g = [np.zeros(2), np.zeros((1, 1))]
-        m = [np.zeros(2), np.zeros((1, 1))]
-        v = [np.zeros(2), np.zeros((1, 1))]
-        adam_step(p, g, (m, v), t=1, lr=0.1)
-        assert np.array_equal(p[0], [1.0, -2.0]) and p[1][0, 0] == 3.0
+        p = np.array([1.0, -2.0, 3.0])
+        adam_step(p, np.zeros(3), (np.zeros(3), np.zeros(3)), t=1, lr=0.1)
+        assert np.array_equal(p, [1.0, -2.0, 3.0])
 
     def test_three_step_scalar_hand_trace(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
@@ -71,31 +69,27 @@ class TestAdam:
             ref_p = ref_p - lr * mhat / (vhat**0.5 + eps)
             trace.append(ref_p)
 
-        p = [np.array([1.0])]
-        m = [np.zeros(1)]
-        v = [np.zeros(1)]
+        p, m, v = np.array([1.0]), np.zeros(1), np.zeros(1)
         for t, g in enumerate(grads, start=1):
-            adam_step(p, [np.array([g])], (m, v), t=t, lr=lr)
-            assert abs(p[0][0] - trace[t - 1]) < 1e-12
+            adam_step(p, np.array([g]), (m, v), t=t, lr=lr)
+            assert abs(p[0] - trace[t - 1]) < 1e-12
 
     def test_constant_gradient_step_approaches_lr(self):
         g_val = 0.37
-        p = [np.array([0.0])]
-        m = [np.zeros(1)]
-        v = [np.zeros(1)]
+        p, m, v = np.array([0.0]), np.zeros(1), np.zeros(1)
         steps = []
         for t in range(1, 3001):
-            before = p[0][0]
-            adam_step(p, [np.array([g_val])], (m, v), t=t, lr=0.01)
-            steps.append(abs(p[0][0] - before))
+            before = p[0]
+            adam_step(p, np.array([g_val]), (m, v), t=t, lr=0.01)
+            steps.append(abs(p[0] - before))
         assert steps[-1] == pytest.approx(0.01, rel=1e-3)
 
     def test_validation(self):
-        p = [np.zeros(2)]
+        p = np.zeros(2)
         with pytest.raises(ValueError, match="t must be"):
-            adam_step(p, [np.zeros(2)], ([np.zeros(2)], [np.zeros(2)]), t=0, lr=0.1)
+            adam_step(p, np.zeros(2), (np.zeros(2), np.zeros(2)), t=0, lr=0.1)
         with pytest.raises(ValueError, match="shape"):
-            adam_step(p, [np.zeros(3)], ([np.zeros(2)], [np.zeros(2)]), t=1, lr=0.1)
+            adam_step(p, np.zeros(3), (np.zeros(2), np.zeros(2)), t=1, lr=0.1)
 
 
 class TestTrain:
@@ -105,8 +99,31 @@ class TestTrain:
                           max_epochs=20, eval_every=5, mode="gru", seed=9, window=4)
         ckpt, hist = train(ws_tr, ws_te, cfg, norm)
         init = init_params(3, 3, 1, "gru", seed=9)
-        assert np.array_equal(ckpt.params, _flat_params(init))
+        assert np.array_equal(ckpt.params, init.params)
         assert len(set(hist.train_loss)) == 1
+
+    def test_clip_above_every_norm_changes_nothing(self):
+        ws_tr, ws_te, norm, _ = make_windowed(n=100, seed=4)
+        cfg = TrainConfig(layers=2, hidden_dim=4, learning_rate=0.05, max_epochs=30,
+                          eval_every=10, mode="bigru", seed=4, window=4)
+        plain, _ = train(ws_tr, ws_te, cfg, norm)
+        clipped, _ = train(ws_tr, ws_te, dataclasses.replace(cfg, grad_clip=1e6), norm)
+        assert clipped.params.tobytes() == plain.params.tobytes()
+        assert (clipped.best_epoch, clipped.best_loss, clipped.metrics) == (
+            plain.best_epoch, plain.best_loss, plain.metrics)
+
+    @pytest.mark.parametrize("mode", ["gru", "bigru"])
+    def test_clipped_steps_equal_the_scalar_oracle(self, mode):
+        """Two clipped Adam steps on a one-tile batch give the oracle's bits: the
+        norm adds per-array sums of squares in Python, and both steps clip."""
+        ws_tr, ws_te, norm, _ = make_windowed(n=100, seed=5)
+        cfg = TrainConfig(layers=2, hidden_dim=4, learning_rate=0.05, max_epochs=2,
+                          eval_every=2, mode=mode, seed=5, window=4, grad_clip=0.05)
+        ckpt, _ = train(ws_tr, ws_te, cfg, norm)
+        want, norms = clipped_adam(cfg, ws_tr.windows, ws_tr.targets, epochs=2)
+        assert all(n > cfg.grad_clip for n in norms)
+        assert ckpt.best_epoch == 2
+        assert ckpt.params.tobytes() == want.tobytes()
 
     def test_single_window_smoke_training(self):
         rng = np.random.default_rng(0)
@@ -619,3 +636,42 @@ def test_checkpoint_roundtrip_is_bitwise(mode, layers, hidden, n_features, seed)
         norm.target_min, norm.target_max)
     windows = rng.uniform(0, 1, size=(5, 3, n_features))
     assert loaded.predict(windows).tobytes() == ckpt.predict(windows).tobytes()
+
+
+@pytest.mark.parametrize("mode, layers", [("gru", 1), ("bigru", 2)])
+def test_models_are_views_of_one_vector_in_payload_order(monkeypatch, tmp_path, mode, layers):
+    """The arrays of an init_params model, of Checkpoint.to_model and of a
+    backward_batch result (with a workspace or without) are views of the
+    model's params at the offsets Checkpoint.shapes gives; the shapes, saving,
+    loading and to_model draw no random weights; a to_model model writes into a
+    copy, not into ckpt.params."""
+    model = init_params(3, 4, layers, mode, seed=1)
+    cfg = TrainConfig(layers=layers, hidden_dim=4, learning_rate=0.01, mode=mode, window=5)
+    ckpt = Checkpoint(config=cfg, params=model.params.copy(), best_epoch=1, best_loss=0.5,
+                      metrics={"mse": 0.5, "mae": 0.5, "r2": None}, normalization=unit_norm(3))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("init_params called")
+
+    monkeypatch.setattr(tuning, "init_params", no_draws)
+    ckpt.save(tmp_path / "ckpt.json")
+    loaded = Checkpoint.load(tmp_path / "ckpt.json").to_model()
+    X = np.random.default_rng(2).standard_normal((6, 5, 3))
+    workspace = rnn.Workspace(model, 5, 6)
+    grads = [rnn.backward_batch(model, forward_batch(model, X, False, ws)[1], np.ones(6))
+             for ws in (None, workspace)]
+    assert np.shares_memory(grads[1].params, workspace._block)
+    for m in [model, ckpt.to_model(), loaded] + grads:
+        start = m.params.__array_interface__["data"][0]
+        offset = 0
+        for (name, arr), (want_name, shape) in zip(m.param_items(), ckpt.shapes, strict=True):
+            assert (name, arr.shape) == (want_name, shape) and arr.flags.c_contiguous
+            assert arr.__array_interface__["data"][0] == start + 8 * offset
+            offset += arr.size
+        assert offset == m.params.size == m.n_params()
+    assert np.array_equal(grads[0].params, grads[1].params)
+    copy = ckpt.to_model()
+    for arr in copy.param_arrays():
+        arr += 1.0
+    assert ckpt.params.tobytes() == model.params.tobytes()
+    assert np.array_equal(copy.params, model.params + 1.0)
