@@ -5,8 +5,10 @@ best split before any node of the next depth, and residuals are refreshed
 between trees, not between levels. Split search is exact greedy over all
 (feature, midpoint-between-adjacent-sorted-values) candidates; leaf values use
 the closed form sum(residuals) / (count + lambda). There is no row or column
-subsampling and no early stopping, so fitting is fully deterministic; split
-ties break toward the lowest feature index, then the lowest threshold.
+subsampling and no early stopping, so fitting is fully deterministic and a
+t-tree fit is the first t rounds of any longer one; split ties break toward
+the lowest feature index, then the lowest threshold. A fit is its trees: each
+split node keeps its gain, and gain importance is summed from the nodes.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
+    gain: np.ndarray  # the split's loss reduction, 0 at a leaf
 
     @property
     def n_nodes(self) -> int:
@@ -46,12 +49,13 @@ class GbtModel:
     base_score: float
     reg_lambda: float
     n_features: int
-    feature_importance: np.ndarray = field(default=None)  # type: ignore[assignment]
     train_losses: list[float] = field(default_factory=list)
 
-    def __post_init__(self):
-        if self.feature_importance is None:
-            self.feature_importance = np.zeros(self.n_features)
+    def first(self, n_trees: int) -> GbtModel:
+        """The first `n_trees` rounds: bitwise the fit with that many trees, as
+        boosting has no subsampling and no early stopping."""
+        return replace(self, trees=self.trees[:n_trees],
+                       train_losses=self.train_losses[:n_trees])
 
 
 def _presort(X: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -86,10 +90,10 @@ class _TreeBuilder:
     presorted feature columns.
 
     A root is a contiguous block of rows of the stacked X with its own presort,
-    residuals, span of node ids and gains; a single-root build is the plain
+    residuals and span of node ids; a single-root build is the plain
     one-tree case. Growing several roots together spreads the per-level numpy
-    call overhead over all of them, and every root's tree, leaf assignment and
-    gains are bitwise those of building it alone: prefix sums restart at each
+    call overhead over all of them, and every root's tree and leaf assignment
+    are bitwise those of building it alone: prefix sums restart at each
     root and per-root reductions run over the same elements in the same order.
 
     Hot-path arrays are transposed ([n_features, n_rows], one contiguous
@@ -143,11 +147,11 @@ class _TreeBuilder:
         self.first = np.cumsum(caps) - caps
         self.node_root = np.repeat(np.arange(self.n_roots), caps)
 
-    def build(self, residual: np.ndarray) -> tuple[list[Tree], np.ndarray, np.ndarray]:
+    def build(self, residual: np.ndarray) -> tuple[list[Tree], np.ndarray]:
         """Grow one tree per root on the stacked residuals.
 
         Returns (one tree per root, each row's final leaf as a node index of
-        its root's tree, per-root per-feature gains).
+        its root's tree).
         """
         n, f, lam = self.n, self.f, self.lam
         inv_count = self.inv_count
@@ -156,6 +160,7 @@ class _TreeBuilder:
         threshold = np.zeros(cap)
         left = np.full(cap, -1, dtype=np.int64)
         value = np.zeros(cap)
+        gain_at = np.zeros(cap)
         counts = np.zeros(cap, dtype=np.int64)
         splittable = np.zeros(cap, dtype=bool)
         value[self.first] = [residual[a:b].sum() / ((b - a) + lam) for a, b in self.blocks]
@@ -163,7 +168,6 @@ class _TreeBuilder:
         splittable[self.first] = self.sizes >= 2
         next_id = self.first + 1  # each root's next free node id
         leaf = np.repeat(self.first, self.sizes)  # every row starts at its root
-        gain_by_feature = np.zeros((self.n_roots, f))
 
         perm = self.sort_rows  # row ids in grouped layout; partitions never mutate it
         spare = self._perm_a
@@ -256,6 +260,7 @@ class _TreeBuilder:
                 self.X[perm[cs, pos_arr], cs] + self.X[perm[cs, pos_arr + 1], cs]
             )
             left[node_ids] = left_ids
+            gain_at[node_ids] = best_gain[sel]
             value[left_ids] = lg_v / (lnn + lam)
             value[right_ids] = rg_v / (rnn + lam)
             counts[left_ids] = lnn
@@ -263,7 +268,6 @@ class _TreeBuilder:
             if depth + 1 < self.max_depth:
                 splittable[left_ids] = lnn >= 2
                 splittable[right_ids] = rnn >= 2
-            np.add.at(gain_by_feature, (sel_root, cs), best_gain[sel])
 
             node_feat = feature[leaf]
             is_split = node_feat >= 0
@@ -311,10 +315,10 @@ class _TreeBuilder:
         right_local = np.where(left >= 0, left_local + 1, -1)
         trees = [
             Tree(feature=feature[a:b], threshold=threshold[a:b], left=left_local[a:b],
-                 right=right_local[a:b], value=value[a:b])
+                 right=right_local[a:b], value=value[a:b], gain=gain_at[a:b])
             for a, b in zip(self.first.tolist(), next_id.tolist())
         ]
-        return trees, leaf - offset[leaf], gain_by_feature
+        return trees, leaf - offset[leaf]
 
 
 def _on_columns(models: list[GbtModel], keep) -> list[GbtModel] | None:
@@ -325,7 +329,7 @@ def _on_columns(models: list[GbtModel], keep) -> list[GbtModel] | None:
     split never changes a winner (ties go to the lowest index, and dropping
     a column keeps the others in order), so fitting only the columns `keep`
     grows these trees again bitwise: the same trees with their column ids
-    renumbered, the same losses and the importances sliced to `keep`.
+    renumbered and the same losses.
     """
     kept = np.zeros(models[0].n_features + 1, dtype=bool)
     kept[keep] = True
@@ -336,8 +340,7 @@ def _on_columns(models: list[GbtModel], keep) -> list[GbtModel] | None:
     new_id[keep] = np.arange(len(keep))
     return [
         replace(m, trees=[replace(t, feature=new_id[t.feature]) for t in m.trees],
-                n_features=len(keep), feature_importance=m.feature_importance[keep],
-                train_losses=m.train_losses[:])
+                n_features=len(keep))
         for m in models
     ]
 
@@ -374,14 +377,14 @@ def gbt_fit(
         raise ValueError(f"learning_rate must be finite and positive, got {learning_rate!r}")
     if max_depth < 1:
         raise ValueError("max_depth must be positive")
-    if reg_lambda < 0:
-        raise ValueError("reg_lambda must be non-negative")
+    if not (math.isfinite(reg_lambda) and reg_lambda >= 0):
+        raise ValueError(f"reg_lambda must be finite and non-negative, got {reg_lambda!r}")
 
     sizes = (X.shape[0],)
     return _fit_core(
         X, y, n_estimators, learning_rate, max_depth, reg_lambda, _presort(X, sizes),
         sizes,
-    )[0][0]
+    )[0]
 
 
 def _fit_core(
@@ -393,20 +396,13 @@ def _fit_core(
     reg_lambda: float,
     presort: tuple,
     sizes,
-    snapshots=None,
-) -> list[list[GbtModel]]:
+) -> list[GbtModel]:
     """Boosting loops of several independent fits, grown tree by tree in lockstep.
 
     Fit k uses the k-th contiguous block of `sizes[k]` rows of X and y;
-    `presort` is `_presort(X, sizes)`. Grows `n_estimators` trees and returns,
-    for each tree count in `snapshots` (each 1..n_estimators; default
-    `(n_estimators,)`), one model per block equal bitwise to fitting that
-    block alone with that many trees: there is no subsampling or early
-    stopping, so a t-tree fit is the first t rounds of a longer one, and its
-    importances and losses are those rounds' running sums and record. Inputs
-    are trusted.
+    `presort` is `_presort(X, sizes)`. Returns one `n_estimators`-tree model
+    per block, equal bitwise to fitting that block alone. Inputs are trusted.
     """
-    snapshots = (n_estimators,) if snapshots is None else tuple(snapshots)
     builder = _TreeBuilder(X, sizes, presort, max_depth, reg_lambda)
     blocks = builder.blocks
     base = [float(y[a:b].mean()) for a, b in blocks]
@@ -421,24 +417,16 @@ def _fit_core(
         )
         for b in base
     ]
-    taken: dict[int, list[GbtModel]] = {}
-    for n_trees in range(1, n_estimators + 1):
+    for _ in range(n_estimators):
         residual = y - pred
-        trees, leaf, gain_by_feature = builder.build(residual)
+        trees, leaf = builder.build(residual)
         step = np.concatenate([t.value[leaf[a:b]] for t, (a, b) in zip(trees, blocks)])
         pred = pred + learning_rate * step
         sq_err = (y - pred) ** 2
-        for k, (model, (a, b)) in enumerate(zip(models, blocks)):
-            model.trees.append(trees[k])
-            model.feature_importance += gain_by_feature[k]
+        for model, tree, (a, b) in zip(models, trees, blocks):
+            model.trees.append(tree)
             model.train_losses.append(float(np.mean(sq_err[a:b])))
-        if n_trees in snapshots:
-            taken[n_trees] = [
-                replace(m, trees=m.trees[:], train_losses=m.train_losses[:],
-                        feature_importance=m.feature_importance.copy())
-                for m in models
-            ]
-    return [taken[t] for t in snapshots]
+    return models
 
 
 def gbt_predict(m: GbtModel, X: np.ndarray, counts=None) -> np.ndarray:
@@ -510,5 +498,13 @@ def _leaf_values(trees: list[Tree], X: np.ndarray) -> np.ndarray:
 
 
 def gbt_importance(m: GbtModel) -> np.ndarray:
-    """Per-feature split gain accumulated over all trees; never-split features are 0."""
-    return m.feature_importance.copy()
+    """Per-feature split gain summed over all trees; never-split features are 0.
+
+    Each tree's gains are added per feature in node order, then the trees in
+    tree order.
+    """
+    total = np.zeros(m.n_features)
+    for t in m.trees:
+        split = t.feature >= 0
+        total += np.bincount(t.feature[split], weights=t.gain[split], minlength=m.n_features)
+    return total

@@ -12,22 +12,22 @@ best-count CV MSE.
 The sweep runs the configs that share (learning_rate, max_depth, reg_lambda)
 together, one such group per job. Boosting has no subsampling and no early
 stopping, so a config with fewer trees fits exactly the leading trees of one
-with more: at every feature count, the configs whose surviving features
-agree share one build of the largest tree count and read their own models
-off it as snapshots, bitwise equal to separate fits.
+with more (`GbtModel.first`): at every feature count, the configs whose
+surviving features agree share one build of the largest tree count, and
+each scores and ranks with its own count's leading trees, bitwise equal to
+separate fits. Gain importance is summed from the trees' split nodes.
 
-Each count after the first may take the previous count's fit whole. Exact
-greedy split search scores every column on its own and the winner is the
-first maximum, so a column that wins no split never changes a tree. When no
-tree of the previous fit splits on a dropped column in this count's roots
-(the folds and, above one feature, all rows), and that fit holds every tree
-count this count needs, its models are taken with their column ids
-renumbered and their importances sliced to the surviving columns, and
-nothing is grown; otherwise the count is fitted afresh. Results are bitwise
-equal to fitting every count from scratch. It pays for shallow,
-low-learning-rate groups with many unused columns, whose trees keep to the
-same few columns, at any `step`; deep trees soon split on almost every
-column, so there it rarely applies.
+Each count after the first may take the leading trees of the previous
+count's fit. Exact greedy split search scores every column on its own and
+the winner is the first maximum, so a column that wins no split never
+changes a tree. When the previous fit has at least this count's largest
+tree count and none of those leading trees splits on a dropped column in
+this count's roots (the folds and, above one feature, all rows), they are
+taken with their column ids renumbered, and nothing is grown; otherwise
+the count is fitted afresh. Results are bitwise equal to fitting every
+count from scratch. It pays for shallow, low-learning-rate groups with many
+unused columns, whose trees keep to the same few columns, at any `step`;
+deep trees soon split on almost every column, so there it rarely applies.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, read_json, require_fields, write_rows
+from .dataset import Dataset, is_finite_number, read_json, require_fields, write_rows
 from .gbt import _fit_core, _on_columns, _presort, gbt_importance, gbt_predict
 
 log = logging.getLogger(__name__)
@@ -69,6 +69,10 @@ class GbtConfig:
             )
         if self.n_estimators < 1 or self.max_depth < 1:
             raise ValueError("n_estimators and max_depth must be positive")
+        if not (is_finite_number(self.reg_lambda) and self.reg_lambda >= 0):
+            raise ValueError(
+                f"reg_lambda must be finite and non-negative, got {self.reg_lambda!r}"
+            )
 
 
 @dataclass
@@ -129,14 +133,14 @@ def _rfecv_group(
 
     All configs visit the same feature counts. At each count, the configs
     whose surviving features agree form one group, and one `_fit_core` call
-    grows the group's largest tree count, snapshotting every member's count;
-    the largest snapshot's trees are routed once per fold to score every
-    member's count, and each config then eliminates on its own. The folds'
-    training rows and (above one feature) all rows are one stacked root each,
-    presorted once; every call takes column slices of it. A group may instead
-    take the fit that scored its first member's previous count (see the
-    module docstring), and one info line reports the counts visited and the
-    tree rounds grown and reused.
+    grows the group's largest tree count; its trees are routed once per fold
+    to score every member's count, and each config then eliminates on the
+    importance of its own count's leading trees. The folds' training rows and
+    (above one feature) all rows are one stacked root each, presorted once;
+    every call takes column slices of it. A group may instead take the
+    leading trees of the fit that scored its first member's previous count
+    (see the module docstring), and one info line reports the counts visited
+    and the tree rounds grown and reused.
     """
     if ds.n_features < 2:
         raise ValueError("need at least 2 features")
@@ -156,8 +160,7 @@ def _rfecv_group(
     actives = [list(range(ds.n_features)) for _ in configs]
     orders: list[list[int]] = [[] for _ in configs]
     mses: list[dict[int, float]] = [{} for _ in configs]
-    # per config, the columns and {tree count: models} of the fit that scored
-    # its last count
+    # per config, the columns and models of the fit that scored its last count
     last_fit: list[tuple | None] = [None] * len(configs)
     visited: list[int] = []
     grown = reused = 0
@@ -174,22 +177,20 @@ def _rfecv_group(
             cols = list(cols)
             trees = [configs[i].n_estimators for i in members]
             n = max(trees)
-            # take the fit that scored a member's last count when it holds
-            # these tree counts and no tree splits on a dropped column; its
+            # take the first n trees of the fit that scored a member's last
+            # count when it has them and none splits on a dropped column; its
             # columns contain these, since elimination only drops columns
-            snapshots = None
+            models = None
             if last_fit[members[0]] is not None:
                 prev_cols, prev = last_fit[members[0]]
-                if prev.keys() >= set(trees):
-                    keep = np.searchsorted(prev_cols, cols)
-                    snapshots = [_on_columns(prev[t][:n_roots], keep) for t in trees]
-                    if None in snapshots:
-                        snapshots = None
-            if snapshots is None:
+                if len(prev[0].trees) >= n:
+                    models = _on_columns([model.first(n) for model in prev[:n_roots]],
+                                         np.searchsorted(prev_cols, cols))
+            if models is None:
                 try:
-                    snapshots = _fit_core(
+                    models = _fit_core(
                         X_all[:m, cols], y_all[:m], n, lr, depth, lam,
-                        tuple(a[cols, :m] for a in presort), sizes[:n_roots], trees,
+                        tuple(a[cols, :m] for a in presort), sizes[:n_roots],
                     )
                 except Exception as exc:
                     raise RuntimeError(
@@ -199,13 +200,12 @@ def _rfecv_group(
             else:
                 reused += n
             for i in members:
-                last_fit[i] = (cols, dict(zip(trees, snapshots)))
-            largest = snapshots[trees.index(n)]
+                last_fit[i] = (cols, models)
             fold_preds = [
                 (gbt_predict(model, Xva[:, cols], trees), yva)
-                for model, (Xva, yva) in zip(largest, held_out)
+                for model, (Xva, yva) in zip(models, held_out)
             ]
-            for j, (i, models) in enumerate(zip(members, snapshots)):
+            for j, (i, n_trees) in enumerate(zip(members, trees)):
                 fold_mses = [
                     float(np.mean((preds[j] - yva) ** 2)) for preds, yva in fold_preds
                 ]
@@ -215,7 +215,7 @@ def _rfecv_group(
                 )
                 if count == 1:
                     continue
-                imp = gbt_importance(models[folds])
+                imp = gbt_importance(models[folds].first(n_trees))
                 drop_local = np.argsort(imp, kind="stable")[: min(step, count - 1)]
                 for li in sorted(drop_local.tolist()):
                     orders[i].append(actives[i][li])

@@ -87,9 +87,19 @@ class TrainConfig:
     checkpoint_on_train_loss: bool = False
 
     def __post_init__(self):
+        for name in ("layers", "hidden_dim", "max_epochs", "eval_every", "seed", "window"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.layers < 1 or self.hidden_dim < 1 or self.window < 1:
             raise ValueError("layers, hidden_dim and window must be positive")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not (is_finite_number(value) and 0 <= value < 1):
+                raise ValueError(f"{name} must be a number in [0, 1), got {value!r}")
+        if not (is_finite_number(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {self.eps!r}")
+        if not (is_finite_number(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(
                 f"learning_rate must be finite and non-negative, got {self.learning_rate!r}"
             )
@@ -130,18 +140,29 @@ def adam_step(
     """One bias-corrected Adam update, applied elementwise in place.
 
     `moments` is the pair (first, second) of running-moment arrays shaped as
-    `params`; `t` is the 1-based step count.
+    `params`; `t` is the 1-based step count. `grads` is overwritten with the
+    step subtracted from `params`, so the update allocates one temporary.
     """
     if t < 1:
         raise ValueError("step count t must be >= 1")
     m, v = moments
     if not (params.shape == grads.shape == m.shape == v.shape):
         raise ValueError(f"gradient or moment shape differs from parameter shape {params.shape}")
+    tmp = np.multiply(grads, 1.0 - beta1)
     m *= beta1
-    m += (1.0 - beta1) * grads
+    m += tmp
+    np.multiply(grads, grads, out=tmp)
+    tmp *= 1.0 - beta2
     v *= beta2
-    v += (1.0 - beta2) * (grads * grads)
-    params -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    v += tmp
+    # params -= lr * (m / c1) / (sqrt(v / c2) + eps), in that rounding order
+    np.divide(v, 1.0 - beta2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    np.divide(m, 1.0 - beta1**t, out=grads)
+    grads *= lr
+    grads /= tmp
+    params -= grads
     return params, (m, v)
 
 

@@ -130,8 +130,9 @@ class TestFit:
                 gbt_fit(X, y, 1, lr, 1)
         with pytest.raises(ValueError, match="max_depth"):
             gbt_fit(X, y, 1, 0.1, 0)
-        with pytest.raises(ValueError, match="reg_lambda"):
-            gbt_fit(X, y, 1, 0.1, 1, reg_lambda=-1.0)
+        for lam in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="reg_lambda"):
+                gbt_fit(X, y, 1, 0.1, 1, reg_lambda=lam)
 
 
 class TestPredict:
@@ -147,6 +148,7 @@ class TestPredict:
             left=np.array([1, -1, -1]),
             right=np.array([2, -1, -1]),
             value=np.array([0.0, -1.0, 4.0]),
+            gain=np.array([1.0, 0.0, 0.0]),
         )
         m = GbtModel(trees=[stump], learning_rate=0.5, base_score=1.0,
                      reg_lambda=1.0, n_features=1)
@@ -201,6 +203,7 @@ class TestPredict:
                     left=t.left.copy(),
                     right=t.right.copy(),
                     value=t.value.copy(),
+                    gain=t.gain.copy(),
                 )
                 for t in m.trees
             ],
@@ -248,7 +251,7 @@ def _stacked_presort(X, sizes):
 def _same_tree(a, b):
     return all(
         np.array_equal(getattr(a, k), getattr(b, k)) and getattr(a, k).dtype == getattr(b, k).dtype
-        for k in ("feature", "threshold", "left", "right", "value")
+        for k in ("feature", "threshold", "left", "right", "value", "gain")
     )
 
 
@@ -270,12 +273,15 @@ def _greedy_nodes(node):
 
 def _assert_same_as_greedy(tree, node, i=0):
     """Walk a fitted tree and a greedy_tree from the root together: split
-    features, thresholds and shape exactly, leaf values to 1e-9 relative."""
+    features, thresholds and shape exactly, split gains and leaf values to
+    1e-9 relative, and a gain of 0 at every leaf."""
     if "feature" not in node:
         assert tree.feature[i] == -1
+        assert tree.gain[i] == 0.0
         assert tree.value[i] == pytest.approx(node["value"], rel=1e-9, abs=1e-12)
         return
     assert (tree.feature[i], tree.threshold[i]) == (node["feature"], node["threshold"])
+    assert tree.gain[i] == pytest.approx(node["gain"], rel=1e-9, abs=0)
     _assert_same_as_greedy(tree, node["left"], tree.left[i])
     _assert_same_as_greedy(tree, node["right"], tree.right[i])
 
@@ -404,20 +410,19 @@ class TestMultiRoot:
         sub = _presort(X[:m, cols], sizes[:lead])
         assert all(np.array_equal(p[cols, :m], q) for p, q in zip(presort, sub))
 
-        # one build: trees, per-row leaves and gains of every root
+        # one build: trees (with their node gains) and per-row leaves of every root
         stacked = _TreeBuilder(X, sizes, presort, max_depth, reg_lambda)
-        trees, leaf, gain_by_feature = stacked.build(y)
+        trees, leaf = stacked.build(y)
         for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
             alone = _TreeBuilder(X[a:b], [b - a], _presort(X[a:b], [b - a]),
                                  max_depth, reg_lambda)
-            (tree,), leaf_k, by_feature_k = alone.build(y[a:b])
+            (tree,), leaf_k = alone.build(y[a:b])
             assert _same_tree(trees[k], tree)
             assert np.array_equal(leaf[a:b], leaf_k)
-            assert np.array_equal(gain_by_feature[k], by_feature_k[0])
 
         # whole boosting loops against the public single-fit entry point
-        (models,) = _fit_core(X, y, n_estimators, 0.3, max_depth, reg_lambda,
-                              presort, sizes)
+        models = _fit_core(X, y, n_estimators, 0.3, max_depth, reg_lambda,
+                           presort, sizes)
         assert len(models) == len(sizes)
         for model, a, b in zip(models, bounds[:-1], bounds[1:]):
             ref = gbt_fit(X[a:b], y[a:b], n_estimators, 0.3, max_depth,
@@ -431,30 +436,29 @@ class TestMultiRoot:
         n_features=st.integers(1, 3),
         levels=st.sampled_from([0, 2, 3]),
         max_depth=st.integers(1, 4),
-        snapshots=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        counts=st.lists(st.integers(1, 6), min_size=1, max_size=4),
         reg_lambda=st.sampled_from([0.0, 1.0, 2.5]),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_snapshots_match_shorter_fits(self, sizes, n_features, levels, max_depth,
-                                          snapshots, reg_lambda, seed):
-        # unsorted and duplicated tree counts: one model list per count, each
-        # model a separate fit of its block with that many trees
+    def test_leading_trees_match_shorter_fits(self, sizes, n_features, levels, max_depth,
+                                              counts, reg_lambda, seed):
+        # unsorted and duplicated tree counts: each root's first n trees are
+        # a separate fit of its block with n trees
         X, y = _random_xy(np.random.default_rng(seed), sizes, n_features, levels)
-        out = _fit_core(X, y, max(snapshots), 0.3, max_depth, reg_lambda,
-                        _presort(X, sizes), sizes, snapshots)
-        assert len(out) == len(snapshots)
+        models = _fit_core(X, y, max(counts), 0.3, max_depth, reg_lambda,
+                           _presort(X, sizes), sizes)
+        assert len(models) == len(sizes)
         bounds = np.cumsum([0] + sizes)
-        for n_trees, models in zip(snapshots, out):
-            assert len(models) == len(sizes)
+        for n_trees in counts:
             for model, a, b in zip(models, bounds[:-1], bounds[1:]):
                 ref = gbt_fit(X[a:b], y[a:b], n_trees, 0.3, max_depth,
                               reg_lambda=reg_lambda)
-                _assert_same_model(model, ref)
+                _assert_same_model(model.first(n_trees), ref)
 
 
 class TestColumnSubsets:
     """Split search is separable by feature: dropping columns that won no
-    split leaves every tree, leaf, gain and loss bitwise unchanged."""
+    split leaves every tree, leaf, node gain and loss bitwise unchanged."""
 
     @settings(deadline=None, max_examples=50)
     @given(
@@ -482,23 +486,22 @@ class TestColumnSubsets:
             assert sub.feature.tolist() == [new_id[c] for c in full.feature.tolist()]
             assert _same_tree(sub, replace(full, feature=sub.feature))
 
-        # one build: trees, each row's leaf and the per-root gain rows
-        trees, leaf, gains = _TreeBuilder(X, sizes, presort, max_depth, reg_lambda).build(y)
+        # one build: trees (with their node gains) and each row's leaf
+        trees, leaf = _TreeBuilder(X, sizes, presort, max_depth, reg_lambda).build(y)
         cols = superset(trees)
         sub_presort = tuple(a[cols] for a in presort)
-        sub_trees, sub_leaf, sub_gains = _TreeBuilder(
+        sub_trees, sub_leaf = _TreeBuilder(
             X[:, cols], sizes, sub_presort, max_depth, reg_lambda).build(y)
         for sub, full in zip(sub_trees, trees):
             same_tree(sub, full, cols)
         assert np.array_equal(sub_leaf, leaf)
-        assert np.array_equal(sub_gains, gains[:, cols])
 
         # whole boosting loops of every root
-        (full,) = _fit_core(X, y, n_estimators, 0.3, max_depth, reg_lambda,
-                            presort, sizes)
+        full = _fit_core(X, y, n_estimators, 0.3, max_depth, reg_lambda,
+                         presort, sizes)
         cols = superset([t for m in full for t in m.trees])
-        (subs,) = _fit_core(X[:, cols], y, n_estimators, 0.3, max_depth, reg_lambda,
-                            tuple(a[cols] for a in presort), sizes)
+        subs = _fit_core(X[:, cols], y, n_estimators, 0.3, max_depth, reg_lambda,
+                         tuple(a[cols] for a in presort), sizes)
         for sub, model in zip(subs, full):
             assert sub.base_score == model.base_score
             assert len(sub.trees) == len(model.trees)
@@ -525,7 +528,7 @@ class TestColumnSubsets:
         rng = np.random.default_rng(seed)
         X, y = _random_xy(rng, sizes, n_features, levels)
         presort = _presort(X, sizes)
-        (full,) = _fit_core(X, y, n_estimators, learning_rate, max_depth, 1.0, presort, sizes)
+        full = _fit_core(X, y, n_estimators, learning_rate, max_depth, 1.0, presort, sizes)
         lead = int(rng.integers(1, len(sizes) + 1))
         m = sum(sizes[:lead])
         splits = {int(c) for model in full[:lead] for t in model.trees for c in t.feature} - {-1}
@@ -536,8 +539,8 @@ class TestColumnSubsets:
             assert (taken is None) == bool(splits - set(keep.tolist()))
             if taken is None:
                 continue
-            (fresh,) = _fit_core(X[:m, keep], y[:m], n_estimators, learning_rate, max_depth,
-                                 1.0, tuple(a[keep, :m] for a in presort), sizes[:lead])
+            fresh = _fit_core(X[:m, keep], y[:m], n_estimators, learning_rate, max_depth,
+                              1.0, tuple(a[keep, :m] for a in presort), sizes[:lead])
             for model, ref in zip(taken, fresh):
                 assert model.n_features == ref.n_features
                 _assert_same_model(model, ref)

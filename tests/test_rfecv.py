@@ -173,6 +173,9 @@ class TestRfecvRun:
         for lr in (0.0, -0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="learning_rate"):
                 GbtConfig(lr, 3, 2)
+        for lam in (-1.0, float("nan"), float("inf"), "1"):
+            with pytest.raises(ValueError, match="reg_lambda"):
+                GbtConfig(0.1, 3, 2, reg_lambda=lam)
 
 
 class TestGrid:

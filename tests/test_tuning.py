@@ -3,6 +3,7 @@ import dataclasses
 import json
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -83,6 +84,25 @@ class TestAdam:
             adam_step(p, np.array([g_val]), (m, v), t=t, lr=0.01)
             steps.append(abs(p[0] - before))
         assert steps[-1] == pytest.approx(0.01, rel=1e-3)
+
+    def test_one_step_allocates_one_temporary(self):
+        """A step on a 100k-element vector keeps at most one full-size
+        temporary live and gives the bits of the one-expression update."""
+        rng = np.random.default_rng(0)
+        p, g, m = (rng.normal(size=100_000) for _ in range(3))
+        v = rng.uniform(0.0, 1.0, size=100_000)
+        want_m = 0.9 * m + (1.0 - 0.9) * g
+        want_v = 0.999 * v + (1.0 - 0.999) * (g * g)
+        want = p - 0.01 * (want_m / (1.0 - 0.9**3)) / (
+            np.sqrt(want_v / (1.0 - 0.999**3)) + 1e-8)
+        tracemalloc.start()
+        try:
+            adam_step(p, g, (m, v), t=3, lr=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * p.nbytes
+        assert p.tobytes() == want.tobytes()
 
     def test_validation(self):
         p = np.zeros(2)
@@ -249,6 +269,20 @@ class TestTrain:
                 TrainConfig(layers=1, hidden_dim=2, learning_rate=lr)
         for lr in (0.0, 1e300):
             TrainConfig(layers=1, hidden_dim=2, learning_rate=lr)
+        # integer fields take ints only; a float or a bool would reach range()
+        # or the parameter shapes
+        for name in ("layers", "hidden_dim", "max_epochs", "eval_every", "seed", "window"):
+            for bad in (2.0, True, "2"):
+                with pytest.raises(ValueError, match=f"{name} must be an int"):
+                    TrainConfig(**{"layers": 1, "hidden_dim": 2, "learning_rate": 0.1,
+                                   name: bad})
+        for name in ("beta1", "beta2"):
+            for bad in (-0.1, 1.0, float("nan"), "x", True):
+                with pytest.raises(ValueError, match=name):
+                    TrainConfig(layers=1, hidden_dim=2, learning_rate=0.1, **{name: bad})
+        for bad in (0.0, -1e-8, float("inf"), "x"):
+            with pytest.raises(ValueError, match="eps"):
+                TrainConfig(layers=1, hidden_dim=2, learning_rate=0.1, eps=bad)
 
 
 class TestCheckpointPersistence:
@@ -362,6 +396,19 @@ class TestCheckpointPersistence:
                   )]
         cases.append(("field 'normalization': expected a JSON object",
                       dict(doc, normalization=None)))
+        # and each bad config value under 'config' with its name
+        cases += [(f"field 'config': {next(iter(bad))}",
+                   dict(doc, config=dict(doc["config"], **bad)))
+                  for bad in (
+                      dict(layers=1.5),
+                      dict(hidden_dim=True),
+                      dict(window=4.0),
+                      dict(max_epochs=2.5),
+                      dict(seed=None),
+                      dict(beta1="x"),
+                      dict(beta2=1.0),
+                      dict(eps=0),
+                  )]
         for i, (expected, bad) in enumerate(cases):
             path = tmp_path / f"bad_{i}.json"
             path.write_text(json.dumps(bad))
