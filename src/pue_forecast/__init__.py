@@ -14,9 +14,9 @@ from .dataset import (
     split_chronological,
     window,
 )
-from .gbt import GbtModel, gbt_fit, gbt_importance, gbt_predict
+from .gbt import GbtConfig, GbtModel, gbt_fit, gbt_importance, gbt_predict
 from .metrics import MetricsReport, evaluate
-from .rfecv import GbtConfig, RfecvResult, rfecv_grid, rfecv_run
+from .rfecv import RfecvResult, rfecv_grid, rfecv_run
 from .rnn import Model, init_params, model_forward
 from .tuning import Checkpoint, TrainConfig, TuneReport, grid_search, train
 

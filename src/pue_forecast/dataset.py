@@ -299,22 +299,14 @@ def require_fields(
         raise ValueError(f"{loc}field {missing[0]!r} is missing")
 
 
-def _ar1(innovations: np.ndarray, rho: float, scale: float) -> np.ndarray:
-    out = np.empty_like(innovations)
-    prev = 0.0
-    inn = innovations.tolist()
-    for t in range(len(inn)):
-        prev = rho * prev + scale * inn[t]
-        out[t] = prev
-    return out
-
-
-def _ema(series: np.ndarray, alpha: float) -> np.ndarray:
-    out = np.empty_like(series)
-    prev = float(series[0])
-    vals = series.tolist()
+def _recur(x: np.ndarray, a: float, b: float, start: float) -> np.ndarray:
+    """out[t] = a * out[t-1] + b * x[t] from out[-1] = start: an AR(1) series, or
+    an exponential moving average with a = 1 - alpha and b = alpha."""
+    out = np.empty_like(x)
+    prev = start
+    vals = x.tolist()
     for t in range(len(vals)):
-        prev = (1.0 - alpha) * prev + alpha * vals[t]
+        prev = a * prev + b * vals[t]
         out[t] = prev
     return out
 
@@ -354,7 +346,7 @@ def generate_synthetic(
     ar_innov = rng.standard_normal((k, n_samples))
     drivers = np.empty((k, n_samples))
     for i in range(k):
-        ar = _ar1(ar_innov[i], rho=0.92, scale=0.40)
+        ar = _recur(ar_innov[i], 0.92, 0.40, 0.0)
         period = periods[i % len(periods)]
         drivers[i] = 1.0 * np.sin(2.0 * np.pi * t / period + phases[i]) + 0.35 * np.tanh(
             ar / 1.6
@@ -392,8 +384,9 @@ def generate_synthetic(
     noise_offsets = rng.uniform(5.0, 95.0, size=n_noise)
     noise_scales = rng.uniform(0.8, 4.0, size=n_noise)
     for j in range(n_noise):
-        walk = _ar1(noise_innov[j], rho=0.998, scale=0.3)
-        columns[:, k + j] = noise_offsets[j] + noise_scales[j] * _ema(walk, alpha=0.18)
+        walk = _recur(noise_innov[j], 0.998, 0.3, 0.0)
+        smooth = _recur(walk, 1.0 - 0.18, 0.18, float(walk[0]))  # EMA, alpha 0.18
+        columns[:, k + j] = noise_offsets[j] + noise_scales[j] * smooth
         names.append(f"aux_sensor_{j:02d}")
 
     start = datetime(2024, 1, 1)

@@ -13,12 +13,37 @@ split node keeps its gain, and gain importance is summed from the nodes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .dataset import is_finite_number
+
 _ROUTE_CELLS = 1 << 20  # (tree, row) pairs routed at once by gbt_predict
+
+
+@dataclass(frozen=True)
+class GbtConfig:
+    """Boosting hyperparameters; a bad value raises ValueError naming its field."""
+
+    learning_rate: float
+    n_estimators: int
+    max_depth: int
+    reg_lambda: float = 1.0
+
+    def __post_init__(self):
+        for name in ("n_estimators", "max_depth"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
+                raise ValueError(f"{name} must be an int of at least 1, got {value!r}")
+        if not (is_finite_number(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate!r}"
+            )
+        if not (is_finite_number(self.reg_lambda) and self.reg_lambda >= 0):
+            raise ValueError(
+                f"reg_lambda must be finite and non-negative, got {self.reg_lambda!r}"
+            )
 
 
 @dataclass
@@ -27,10 +52,14 @@ class Tree:
 
     feature: np.ndarray  # int, -1 marks a leaf
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    left: np.ndarray  # -1 marks a leaf
     value: np.ndarray
     gain: np.ndarray  # the split's loss reduction, 0 at a leaf
+
+    @property
+    def right(self) -> np.ndarray:
+        """A split's right child is always its left child + 1; -1 at a leaf."""
+        return np.where(self.left >= 0, self.left + 1, -1)
 
     @property
     def n_nodes(self) -> int:
@@ -99,13 +128,18 @@ class _TreeBuilder:
     Hot-path arrays are transposed ([n_features, n_rows], one contiguous
     row per feature) and kept in a grouped layout: grouped by current leaf
     (roots in order, each root's leaves in node order), ordered by feature
-    value within each group. Only the row-id layout is maintained across
-    levels, by a stable counting partition when nodes split (cheaper than
-    re-sorting); residuals and dense value ranks are regathered from it into
-    reused buffers. Group geometry (run starts, sizes, row-to-group map) is
-    identical across features and computed once per level. Adjacent-value
-    ties are detected via precomputed dense ranks, so raw feature values are
-    only touched when a chosen split needs its midpoint threshold.
+    value within each group. Only the row-id layout is kept across levels.
+    A split node's children replace it in place, left first, so one stable
+    sort of each feature row by its rows' new group position regroups it
+    and keeps every group in value order. The key is the narrowest unsigned
+    type that holds the group count, so up to 65,535 groups a level sorts
+    by radix; past that numpy falls back to timsort. Residuals and dense
+    value ranks are regathered from the layout into reused buffers. Group
+    geometry (run starts, sizes, row-to-group map) is identical across
+    features and computed once per level. Adjacent-value ties are detected
+    via precomputed dense ranks, so raw feature values are only touched when
+    a chosen split needs its midpoint threshold. A split's right child is
+    always its left child + 1, so trees store only `left`.
     """
 
     def __init__(self, X: np.ndarray, sizes, presort: tuple, max_depth: int,
@@ -125,7 +159,6 @@ class _TreeBuilder:
         self.rank_flat = np.ascontiguousarray(rank).ravel()
         self.rowoff = (n * np.arange(f, dtype=np.int32))[:, None]
         self.rows = np.arange(n)
-        self.rows_i32 = np.arange(n, dtype=np.int32)
         self.root_first = np.zeros(n + 1, dtype=bool)
         self.root_first[bounds[:-1]] = True
         # 1 / (count + lambda) for every count 0..n; 0 where that divides by 0
@@ -137,10 +170,7 @@ class _TreeBuilder:
         self._gain = np.empty((f, n))
         self._dr = np.empty((f, n), dtype=np.int32)
         self._i1 = np.empty((f, n), dtype=np.int32)
-        self._b = np.empty((f, n), dtype=bool)
         self._valid = np.empty((f, n), dtype=bool)
-        self._perm_a = np.empty((f, n), dtype=np.int32)
-        self._perm_b = np.empty((f, n), dtype=np.int32)
         # root r numbers its nodes from first[r] in creation order, in a span
         # holding a full binary tree of max_depth clamped by its row count
         caps = [min(2 ** (max_depth + 1) - 1, max(2 * size - 1, 1)) for size in sizes]
@@ -169,8 +199,7 @@ class _TreeBuilder:
         next_id = self.first + 1  # each root's next free node id
         leaf = np.repeat(self.first, self.sizes)  # every row starts at its root
 
-        perm = self.sort_rows  # row ids in grouped layout; partitions never mutate it
-        spare = self._perm_a
+        perm = self.sort_rows  # row ids in grouped layout; regrouping never mutates it
         layout = self.first  # node ids in layout order
 
         for depth in range(self.max_depth):
@@ -279,43 +308,24 @@ class _TreeBuilder:
             if depth + 1 == self.max_depth:
                 break
 
-            # stable counting partition: within every split group's run, rows
-            # going left keep relative order and move to the front. With E the
-            # number of left-goers before a position in its feature row, a
-            # left-goer lands at start + E - E[start], a right-goer at
-            # pos + (E[end] + b[end]) - E, past its group's left-goers
-            b = np.take(go_left | ~is_split, perm, out=self._b, mode="clip")
-            lefts = np.cumsum(b, axis=1, dtype=np.int32, out=self._i1)
-            lefts -= b
-            to_left = starts.astype(np.int32)[None, :] - lefts[:, starts]
-            to_left += self.rowoff
-            to_right = lefts[:, ends] + b[:, ends]
-            to_right += self.rowoff
-            dest = np.repeat(to_right, g_counts, axis=1)
-            dest += self.rows_i32
-            dest -= lefts
-            alt = np.repeat(to_left, g_counts, axis=1)
-            alt += lefts
-            alt -= dest
-            alt *= b
-            dest += alt  # branch-free: left-goers take their own destination
-            spare.ravel()[dest.ravel()] = perm.ravel()
-            perm, spare = spare, (
-                self._perm_b if spare is self._perm_a else self._perm_a
-            )
-
             # every split node is replaced in place by its two children
             widths = is_sel + 1
             layout = np.repeat(layout, widths)
             layout[np.repeat(is_sel, widths)] = np.column_stack((left_ids, right_ids)).ravel()
+            # a stable sort by each row's new group position regroups every
+            # feature row and keeps each group in value order
+            group = np.empty(cap, dtype=np.min_scalar_type(len(layout)))
+            group[layout] = np.arange(len(layout))
+            order = np.argsort(np.take(group[leaf], perm), axis=1, kind="stable")
+            order += self.rowoff
+            perm = np.take(perm, order)
 
         # root r's tree is the span first[r]:next_id[r], numbered from 0
         offset = self.first[self.node_root]
         left_local = np.where(left >= 0, left - offset, -1)
-        right_local = np.where(left >= 0, left_local + 1, -1)
         trees = [
             Tree(feature=feature[a:b], threshold=threshold[a:b], left=left_local[a:b],
-                 right=right_local[a:b], value=value[a:b], gain=gain_at[a:b])
+                 value=value[a:b], gain=gain_at[a:b])
             for a, b in zip(self.first.tolist(), next_id.tolist())
         ]
         return trees, leaf - offset[leaf]
@@ -371,14 +381,7 @@ def gbt_fit(
         raise ValueError("need at least two samples")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("X and y must be finite")
-    if n_estimators < 1:
-        raise ValueError("n_estimators must be positive")
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise ValueError(f"learning_rate must be finite and positive, got {learning_rate!r}")
-    if max_depth < 1:
-        raise ValueError("max_depth must be positive")
-    if not (math.isfinite(reg_lambda) and reg_lambda >= 0):
-        raise ValueError(f"reg_lambda must be finite and non-negative, got {reg_lambda!r}")
+    GbtConfig(learning_rate, n_estimators, max_depth, reg_lambda)  # checks them
 
     sizes = (X.shape[0],)
     return _fit_core(
@@ -477,7 +480,6 @@ def _leaf_values(trees: list[Tree], X: np.ndarray) -> np.ndarray:
     feature = np.concatenate([t.feature for t in trees])
     threshold = np.concatenate([t.threshold for t in trees])
     left = np.concatenate([t.left for t in trees]) + shift  # read only at splits
-    right = np.concatenate([t.right for t in trees]) + shift
     value = np.concatenate([t.value for t in trees])
     n = X.shape[0]
     node = np.repeat(first, n).reshape(len(trees), n)
@@ -487,13 +489,8 @@ def _leaf_values(trees: list[Tree], X: np.ndarray) -> np.ndarray:
         internal = feat >= 0
         if not internal.any():
             break
-        x = X[rows, np.maximum(feat, 0)]
-        go_left = x < threshold[node]
-        node = np.where(
-            internal & go_left,
-            left[node],
-            np.where(internal, right[node], node),
-        )
+        go_right = ~(X[rows, np.maximum(feat, 0)] < threshold[node])  # NaN goes right
+        node = np.where(internal, left[node] + go_right, node)
     return value[node]
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -43,36 +42,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, is_finite_number, read_json, require_fields, write_rows
-from .gbt import _fit_core, _on_columns, _presort, gbt_importance, gbt_predict
+from .dataset import Dataset, read_json, require_fields, write_rows
+from .gbt import GbtConfig, _fit_core, _on_columns, _presort, gbt_importance, gbt_predict
 
 log = logging.getLogger(__name__)
 
 DEFAULT_LR_GRID = (0.5, 0.75, 0.1, 0.075, 0.05)
 DEFAULT_N_ESTIMATORS_GRID = (50, 100, 150, 200, 250)
 DEFAULT_MAX_DEPTH_GRID = (3, 6, 9, 12)
-
-
-@dataclass(frozen=True)
-class GbtConfig:
-    """Estimator hyperparameters varied by the selection sweep."""
-
-    learning_rate: float
-    n_estimators: int
-    max_depth: int
-    reg_lambda: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(
-                f"learning_rate must be finite and positive, got {self.learning_rate!r}"
-            )
-        if self.n_estimators < 1 or self.max_depth < 1:
-            raise ValueError("n_estimators and max_depth must be positive")
-        if not (is_finite_number(self.reg_lambda) and self.reg_lambda >= 0):
-            raise ValueError(
-                f"reg_lambda must be finite and non-negative, got {self.reg_lambda!r}"
-            )
 
 
 @dataclass

@@ -109,8 +109,13 @@ class TrainConfig:
             raise ValueError("eval_every must not exceed max_epochs")
         if self.mode not in ("gru", "bigru"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ValueError(f"grad_clip must be positive, got {self.grad_clip!r}")
+        clip = self.grad_clip  # inf never clips; a bool is not a threshold
+        if clip is not None and not (clip == math.inf or is_finite_number(clip) and clip > 0):
+            raise ValueError(f"grad_clip must be None or a number above 0, got {clip!r}")
+        if not isinstance(self.checkpoint_on_train_loss, bool):
+            raise ValueError(
+                f"checkpoint_on_train_loss must be a bool, got {self.checkpoint_on_train_loss!r}"
+            )
 
 
 @dataclass(frozen=True)

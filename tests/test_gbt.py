@@ -125,14 +125,20 @@ class TestFit:
             gbt_fit(X * np.nan, y, 1, 0.1, 1)
         with pytest.raises(ValueError, match="n_estimators"):
             gbt_fit(X, y, 0, 0.1, 1)
-        for lr in (0.0, float("nan"), float("inf")):
+        for lr in (0.0, float("nan"), float("inf"), "0.1", True):
             with pytest.raises(ValueError, match="learning_rate"):
                 gbt_fit(X, y, 1, lr, 1)
         with pytest.raises(ValueError, match="max_depth"):
             gbt_fit(X, y, 1, 0.1, 0)
-        for lam in (-1.0, float("nan"), float("inf")):
+        for lam in (-1.0, float("nan"), float("inf"), "1", True):
             with pytest.raises(ValueError, match="reg_lambda"):
                 gbt_fit(X, y, 1, 0.1, 1, reg_lambda=lam)
+        # tree counts and depths are ints, bools excluded
+        for bad in (2.0, True, "2"):
+            with pytest.raises(ValueError, match="n_estimators must be an int"):
+                gbt_fit(X, y, bad, 0.1, 2)
+            with pytest.raises(ValueError, match="max_depth must be an int"):
+                gbt_fit(X, y, 2, 0.1, bad)
 
 
 class TestPredict:
@@ -146,7 +152,6 @@ class TestPredict:
             feature=np.array([0, -1, -1]),
             threshold=np.array([2.0, 0.0, 0.0]),
             left=np.array([1, -1, -1]),
-            right=np.array([2, -1, -1]),
             value=np.array([0.0, -1.0, 4.0]),
             gain=np.array([1.0, 0.0, 0.0]),
         )
@@ -201,7 +206,6 @@ class TestPredict:
                     feature=np.where(t.feature >= 0, inv[np.maximum(t.feature, 0)], -1),
                     threshold=t.threshold.copy(),
                     left=t.left.copy(),
-                    right=t.right.copy(),
                     value=t.value.copy(),
                     gain=t.gain.copy(),
                 )
@@ -429,6 +433,34 @@ class TestMultiRoot:
                           reg_lambda=reg_lambda)
             _assert_same_model(model, ref)
             assert all(tree_depth(t) <= max_depth for t in model.trees)
+
+    def test_more_than_255_groups_in_a_level(self):
+        """Past 255 groups a level regroups on 16-bit sort keys; the stacked
+        build still equals each root built alone (8-bit keys here) and routes
+        every row to the greedy oracle's leaf value."""
+        sizes, max_depth = [300] * 6, 8
+        X, y = _random_xy(np.random.default_rng(0), sizes, 3, 0)
+        trees, leaf = _TreeBuilder(X, sizes, _presort(X, sizes), max_depth, 1.0).build(y)
+        # the groups of level d: every root's nodes at depth d and shallower leaves
+        groups = np.zeros(max_depth + 1, dtype=int)
+        for t in trees:
+            depth = np.zeros(t.n_nodes, dtype=int)
+            for i in np.flatnonzero(t.left >= 0):  # parents are numbered first
+                depth[t.left[i]] = depth[t.right[i]] = depth[i] + 1
+            for d in range(max_depth + 1):
+                groups[d] += np.sum((depth == d) | ((depth < d) & (t.left < 0)))
+        assert groups[:max_depth].max() > 255  # the last level is not regrouped
+        bounds = np.cumsum([0] + sizes)
+        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            alone = _TreeBuilder(X[a:b], [b - a], _presort(X[a:b], [b - a]), max_depth, 1.0)
+            (tree,), leaf_k = alone.build(y[a:b])
+            assert _same_tree(trees[k], tree)
+            assert np.array_equal(leaf[a:b], leaf_k)
+            # ties between features that cut a node alike may pick either
+            # feature, so compare what each row gets, not the split ids
+            oracle = greedy_tree(X[a:b], y[a:b], max_depth, 1.0)
+            routed = [greedy_route(oracle, row) for row in X[a:b]]
+            np.testing.assert_allclose(tree.value[leaf_k], routed, rtol=0, atol=1e-12)
 
     @settings(deadline=None, max_examples=40)
     @given(

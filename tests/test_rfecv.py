@@ -170,12 +170,17 @@ class TestRfecvRun:
             rfecv_run(single, FAST)
         with pytest.raises(ValueError, match="step"):
             rfecv_run(ds, FAST, step=0)
-        for lr in (0.0, -0.1, float("nan"), float("inf")):
+        for lr in (0.0, -0.1, float("nan"), float("inf"), "0.1", True):
             with pytest.raises(ValueError, match="learning_rate"):
                 GbtConfig(lr, 3, 2)
-        for lam in (-1.0, float("nan"), float("inf"), "1"):
+        for lam in (-1.0, float("nan"), float("inf"), "1", False):
             with pytest.raises(ValueError, match="reg_lambda"):
                 GbtConfig(0.1, 3, 2, reg_lambda=lam)
+        for bad in (0, 2.5, True, "3", None):
+            with pytest.raises(ValueError, match="n_estimators must be an int"):
+                GbtConfig(0.1, bad, 2)
+            with pytest.raises(ValueError, match="max_depth must be an int"):
+                GbtConfig(0.1, 3, bad)
 
 
 class TestGrid:

@@ -261,9 +261,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="mode"):
             TrainConfig(layers=1, hidden_dim=2, learning_rate=0.1, mode="rnn")
         # a negative threshold flips the clipped gradient's sign; zero zeroes it
-        for clip in (0.0, -1.0, float("nan")):
+        for clip in (0.0, -1.0, float("nan"), True, "5"):
             with pytest.raises(ValueError, match="grad_clip"):
                 TrainConfig(layers=1, hidden_dim=2, learning_rate=0.1, grad_clip=clip)
+        TrainConfig(layers=1, hidden_dim=2, learning_rate=0.1, grad_clip=float("inf"))
+        for flag in ("no", 1, None):
+            with pytest.raises(ValueError, match="checkpoint_on_train_loss must be a bool"):
+                TrainConfig(layers=1, hidden_dim=2, learning_rate=0.1,
+                            checkpoint_on_train_loss=flag)
         for lr in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="learning_rate"):
                 TrainConfig(layers=1, hidden_dim=2, learning_rate=lr)
@@ -408,6 +413,9 @@ class TestCheckpointPersistence:
                       dict(beta1="x"),
                       dict(beta2=1.0),
                       dict(eps=0),
+                      dict(grad_clip=True),
+                      dict(grad_clip="5"),
+                      dict(checkpoint_on_train_loss="no"),
                   )]
         for i, (expected, bad) in enumerate(cases):
             path = tmp_path / f"bad_{i}.json"
