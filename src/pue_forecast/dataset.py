@@ -181,7 +181,7 @@ def load_csv(path: str | Path) -> Dataset:
     1-based data row and the column name.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -273,7 +273,7 @@ def write_rows(path: str | Path, header: list[str], rows) -> None:
 def read_json(path: str | Path):
     """Parse a JSON file; undecodable content raises ValueError naming the file."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
 

@@ -3,12 +3,14 @@
 Trees grow level by level: every node of the current depth is scanned for its
 best split before any node of the next depth, and residuals are refreshed
 between trees, not between levels. Split search is exact greedy over all
-(feature, midpoint-between-adjacent-sorted-values) candidates; leaf values use
-the closed form sum(residuals) / (count + lambda). There is no row or column
-subsampling and no early stopping, so fitting is fully deterministic and a
-t-tree fit is the first t rounds of any longer one; split ties break toward
-the lowest feature index, then the lowest threshold. A fit is its trees: each
-split node keeps its gain, and gain importance is summed from the nodes.
+(feature, cut-between-adjacent-sorted-values) candidates, each cut's threshold
+the midpoint of its two values, or the upper value where the midpoint rounds
+down to the lower or overflows; leaf values use the closed form
+sum(residuals) / (count + lambda). There is no row or column subsampling and
+no early stopping, so fitting is fully deterministic and a t-tree fit is the
+first t rounds of any longer one; split ties break toward the lowest feature
+index, then the lowest threshold. A fit is its trees: each split node keeps
+its gain, and gain importance is summed from the nodes.
 """
 
 from __future__ import annotations
@@ -285,9 +287,13 @@ class _TreeBuilder:
             lg_v = left_g[cs, pos_arr]
             rg_v = tot[cs, sel] - lg_v
             feature[node_ids] = cs
-            threshold[node_ids] = 0.5 * (
-                self.X[perm[cs, pos_arr], cs] + self.X[perm[cs, pos_arr + 1], cs]
-            )
+            lo = self.X[perm[cs, pos_arr], cs]
+            hi = self.X[perm[cs, pos_arr + 1], cs]
+            with np.errstate(over="ignore"):
+                mid = 0.5 * (lo + hi)
+            # the midpoint, unless it rounds down to lo (adjacent floats) or
+            # overflows: then hi, which cuts the rows alike
+            threshold[node_ids] = np.where((lo < mid) & (mid <= hi), mid, hi)
             left[node_ids] = left_ids
             gain_at[node_ids] = best_gain[sel]
             value[left_ids] = lg_v / (lnn + lam)
@@ -329,30 +335,6 @@ class _TreeBuilder:
             for a, b in zip(self.first.tolist(), next_id.tolist())
         ]
         return trees, leaf - offset[leaf]
-
-
-def _on_columns(models: list[GbtModel], keep) -> list[GbtModel] | None:
-    """`models` as fits on their columns `keep` (ascending), or None if one of
-    their trees splits on another column.
-
-    Split search is separable by feature and a column that never wins a
-    split never changes a winner (ties go to the lowest index, and dropping
-    a column keeps the others in order), so fitting only the columns `keep`
-    grows these trees again bitwise: the same trees with their column ids
-    renumbered and the same losses.
-    """
-    kept = np.zeros(models[0].n_features + 1, dtype=bool)
-    kept[keep] = True
-    kept[-1] = True  # feature -1 marks a leaf
-    if not all(kept[tree.feature].all() for m in models for tree in m.trees):
-        return None
-    new_id = np.full(models[0].n_features + 1, -1)  # the last slot maps leaves
-    new_id[keep] = np.arange(len(keep))
-    return [
-        replace(m, trees=[replace(t, feature=new_id[t.feature]) for t in m.trees],
-                n_features=len(keep))
-        for m in models
-    ]
 
 
 def gbt_fit(

@@ -20,14 +20,15 @@ separate fits. Gain importance is summed from the trees' split nodes.
 Each count after the first may take the leading trees of the previous
 count's fit. Exact greedy split search scores every column on its own and
 the winner is the first maximum, so a column that wins no split never
-changes a tree. When the previous fit has at least this count's largest
-tree count and none of those leading trees splits on a dropped column in
-this count's roots (the folds and, above one feature, all rows), they are
-taken with their column ids renumbered, and nothing is grown; otherwise
-the count is fitted afresh. Results are bitwise equal to fitting every
-count from scratch. It pays for shallow, low-learning-rate groups with many
-unused columns, whose trees keep to the same few columns, at any `step`;
-deep trees soon split on almost every column, so there it rarely applies.
+changes a tree. Every fit's trees name the dataset's columns, so when the
+previous fit has at least this count's largest tree count and none of
+those leading trees splits on a dropped column in this count's roots (the
+folds and, above one feature, all rows), they are taken as they are, and
+nothing is grown; otherwise the count is fitted afresh. Results are bitwise
+equal to fitting every count from scratch. It pays for shallow,
+low-learning-rate groups with many unused columns, whose trees keep to the
+same few columns, at any `step`; deep trees soon split on almost every
+column, so there it rarely applies.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, read_json, require_fields, write_rows
-from .gbt import GbtConfig, _fit_core, _on_columns, _presort, gbt_importance, gbt_predict
+from .gbt import GbtConfig, _fit_core, _presort, gbt_importance, gbt_predict
 
 log = logging.getLogger(__name__)
 
@@ -114,10 +115,11 @@ def _rfecv_group(
     to score every member's count, and each config then eliminates on the
     importance of its own count's leading trees. The folds' training rows and
     (above one feature) all rows are one stacked root each, presorted once;
-    every call takes column slices of it. A group may instead take the
-    leading trees of the fit that scored its first member's previous count
-    (see the module docstring), and one info line reports the counts visited
-    and the tree rounds grown and reused.
+    every call takes column slices of it, and its trees' column ids are then
+    mapped to the dataset's. A group may instead take the leading trees of
+    the fit that scored its first member's previous count (see the module
+    docstring), and one info line reports the counts visited and the tree
+    rounds grown and reused.
     """
     if ds.n_features < 2:
         raise ValueError("need at least 2 features")
@@ -137,8 +139,8 @@ def _rfecv_group(
     actives = [list(range(ds.n_features)) for _ in configs]
     orders: list[list[int]] = [[] for _ in configs]
     mses: list[dict[int, float]] = [{} for _ in configs]
-    # per config, the columns and models of the fit that scored its last count
-    last_fit: list[tuple | None] = [None] * len(configs)
+    # per config, the models of the fit that scored its last count
+    last_fit: list[list | None] = [None] * len(configs)
     visited: list[int] = []
     grown = reused = 0
     count = ds.n_features
@@ -155,15 +157,16 @@ def _rfecv_group(
             trees = [configs[i].n_estimators for i in members]
             n = max(trees)
             # take the first n trees of the fit that scored a member's last
-            # count when it has them and none splits on a dropped column; its
-            # columns contain these, since elimination only drops columns
-            models = None
-            if last_fit[members[0]] is not None:
-                prev_cols, prev = last_fit[members[0]]
-                if len(prev[0].trees) >= n:
-                    models = _on_columns([model.first(n) for model in prev[:n_roots]],
-                                         np.searchsorted(prev_cols, cols))
-            if models is None:
+            # count when it has them and none splits on a dropped column
+            models = last_fit[members[0]]
+            kept = np.zeros(ds.n_features + 1, dtype=bool)
+            kept[cols + [-1]] = True  # feature -1 marks a leaf
+            if models is not None and len(models[0].trees) >= n and all(
+                kept[t.feature].all() for model in models[:n_roots] for t in model.trees[:n]
+            ):
+                models = [model.first(n) for model in models[:n_roots]]
+                reused += n
+            else:
                 try:
                     models = _fit_core(
                         X_all[:m, cols], y_all[:m], n, lr, depth, lam,
@@ -173,13 +176,16 @@ def _rfecv_group(
                     raise RuntimeError(
                         f"estimator failed at feature count {count}: {exc}"
                     ) from exc
+                to_dataset = np.array(cols + [-1])  # the last slot keeps leaves at -1
+                for model in models:
+                    model.n_features = ds.n_features
+                    for t in model.trees:
+                        t.feature = to_dataset[t.feature]
                 grown += n
-            else:
-                reused += n
             for i in members:
-                last_fit[i] = (cols, models)
+                last_fit[i] = models
             fold_preds = [
-                (gbt_predict(model, Xva[:, cols], trees), yva)
+                (gbt_predict(model, Xva, trees), yva)
                 for model, (Xva, yva) in zip(models, held_out)
             ]
             for j, (i, n_trees) in enumerate(zip(members, trees)):
@@ -192,7 +198,7 @@ def _rfecv_group(
                 )
                 if count == 1:
                     continue
-                imp = gbt_importance(models[folds].first(n_trees))
+                imp = gbt_importance(models[folds].first(n_trees))[cols]
                 drop_local = np.argsort(imp, kind="stable")[: min(step, count - 1)]
                 for li in sorted(drop_local.tolist()):
                     orders[i].append(actives[i][li])

@@ -233,13 +233,21 @@ def walk_predict(model, X):
     return out
 
 
+def cut_threshold(a, b):
+    """Threshold between adjacent distinct values a < b: their midpoint when it
+    lies above a and at most b; b when it rounds down to a (adjacent floats)
+    or overflows."""
+    mid = 0.5 * (float(a) + float(b))  # Python floats overflow to inf quietly
+    return mid if a < mid <= b else float(b)
+
+
 def stump_sses(X, y):
-    """(SSE, feature, midpoint) of every stump split, by feature, then threshold."""
+    """(SSE, feature, threshold) of every stump split, by feature, then threshold."""
     out = []
     for c in range(X.shape[1]):
         vals = np.unique(X[:, c])
         for a, b in zip(vals, vals[1:]):
-            thr = 0.5 * (a + b)
+            thr = cut_threshold(a, b)
             m = X[:, c] < thr
             sse = np.sum((y[m] - y[m].mean()) ** 2) + np.sum(
                 (y[~m] - y[~m].mean()) ** 2
@@ -249,7 +257,7 @@ def stump_sses(X, y):
 
 
 def best_stump(X, y):
-    """Exhaustive (feature, midpoint) stump search minimizing SSE; the first
+    """Exhaustive (feature, threshold) stump search minimizing SSE; the first
     split in stump_sses order wins a tie."""
     return min(stump_sses(X, y), key=lambda s: s[0], default=(np.inf, None, None))
 
@@ -278,7 +286,7 @@ def greedy_tree(X, r, max_depth, lam):
             x = X[rows, c]
             vals = np.unique(x)  # sorted
             for a, b in zip(vals, vals[1:]):
-                thr = 0.5 * (a + b)
+                thr = cut_threshold(a, b)
                 left = x < thr
                 nl = int(left.sum())
                 L = res[left].sum()

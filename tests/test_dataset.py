@@ -113,6 +113,14 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="empty"):
             load_csv(_write(tmp_path, ""))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet tools save UTF-8 CSVs with a leading byte-order mark
+        path = tmp_path / "bom.csv"
+        path.write_text(CSV_3ROWS, encoding="utf-8-sig")
+        ds = load_csv(path)
+        assert ds.feature_names == ["f1", "f2"]
+        assert ds.timestamps[0] == "2024-01-01T00:00:00"
+
     def test_roundtrip_through_write_csv(self, tmp_path):
         ds = generate_synthetic(40, 4, 3, seed=9)
         path = tmp_path / "out.csv"

@@ -379,3 +379,8 @@ class TestLoadFeatureSets:
         path.write_text('[{"selected_features": ["a"]')
         with pytest.raises(ValueError, match=re.escape(f"{path}: not valid JSON")):
             load_feature_sets(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "sets.json"
+        path.write_text(json.dumps([{"selected_features": ["a", "b"]}]), encoding="utf-8-sig")
+        assert load_feature_sets(path) == [["a", "b"]]
