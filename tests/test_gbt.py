@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -570,3 +570,116 @@ class TestColumnSubsets:
                 same_tree(t, u, cols)
             assert np.array_equal(gbt_importance(sub), gbt_importance(model)[cols])
             assert sub.train_losses == model.train_losses
+
+
+_INCREASING = {  # strictly increasing maps; a draw where one merges two floats is skipped
+    "exp": np.exp,
+    "cube": lambda x: x**3,
+    "arctan": np.arctan,
+    "affine": lambda x: 3.0 * x - 7.0,
+    "shift": lambda x: x + 1e6,
+}
+
+
+class TestMetamorphic:
+    """Fits on related inputs against each other, with no oracle. Split search
+    reads only each column's value order (which values are equal, which is
+    lower) and the tie rule reads only column order, so these input changes
+    keep every tree bitwise but the thresholds set by a changed column."""
+
+    FIT = dict(
+        n=st.integers(2, 60),
+        n_features=st.integers(1, 4),
+        levels=st.sampled_from([0, 2, 3]),  # 0: continuous; k: k distinct values (ties)
+        max_depth=st.integers(1, 4),
+        n_estimators=st.integers(1, 4),
+        reg_lambda=st.sampled_from([0.0, 1.0, 2.5]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+
+    @staticmethod
+    def _fits(X, X2, y, max_depth, n_estimators, reg_lambda):
+        kw = dict(n_estimators=n_estimators, learning_rate=0.3, max_depth=max_depth,
+                  reg_lambda=reg_lambda)
+        return gbt_fit(X2, y, **kw), gbt_fit(X, y, **kw)
+
+    @staticmethod
+    def _same_but_thresholds_of(model, ref, c):
+        """Every tree field bitwise but the thresholds of splits on column c;
+        returns the (moved, reference) thresholds of those splits."""
+        assert model.base_score == ref.base_score
+        assert model.train_losses == ref.train_losses
+        assert len(model.trees) == len(ref.trees)
+        moved, was = [], []
+        for t, u in zip(model.trees, ref.trees):
+            assert _same_tree(replace(t, threshold=u.threshold), u)
+            on_c = t.feature == c
+            assert np.array_equal(t.threshold[~on_c], u.threshold[~on_c])
+            moved.append(t.threshold[on_c])
+            was.append(u.threshold[on_c])
+        assert np.array_equal(gbt_importance(model), gbt_importance(ref))
+        return np.concatenate(moved), np.concatenate(was)
+
+    @settings(deadline=None, max_examples=40)
+    @given(**FIT, column=st.integers(0, 3), fn=st.sampled_from(sorted(_INCREASING)))
+    def test_an_increasing_map_moves_only_thresholds(self, n, n_features, levels, max_depth,
+                                                     n_estimators, reg_lambda, seed, column, fn):
+        X, y = _random_xy(np.random.default_rng(seed), [n], n_features, levels)
+        c = column % n_features
+        values = np.unique(X[:, c])
+        with np.errstate(over="ignore"):
+            assume(np.all(np.diff(_INCREASING[fn](values)) > 0))
+        X2 = X.copy()
+        X2[:, c] = _INCREASING[fn](X[:, c])
+        model, ref = self._fits(X, X2, y, max_depth, n_estimators, reg_lambda)
+        self._same_but_thresholds_of(model, ref, c)
+        for t, u in zip(model.trees, ref.trees):  # the moved thresholds route alike
+            assert np.array_equal(t.predict(X2), u.predict(X))
+
+    @settings(deadline=None, max_examples=40)
+    @given(**FIT, column=st.integers(0, 3), power=st.integers(-8, 8))
+    def test_a_power_of_two_scales_thresholds_exactly(self, n, n_features, levels, max_depth,
+                                                      n_estimators, reg_lambda, seed, column,
+                                                      power):
+        X, y = _random_xy(np.random.default_rng(seed), [n], n_features, levels)
+        c, scale = column % n_features, 2.0**power
+        X2 = X.copy()
+        X2[:, c] *= scale
+        model, ref = self._fits(X, X2, y, max_depth, n_estimators, reg_lambda)
+        moved, was = self._same_but_thresholds_of(model, ref, c)
+        assert np.array_equal(moved, scale * was)
+
+    @settings(deadline=None, max_examples=40)
+    @given(**FIT, column=st.integers(0, 3), constant=st.sampled_from([0.0, -3.5, 1e300]),
+           copy=st.booleans())
+    def test_an_appended_constant_or_copy_changes_no_tree(self, n, n_features, levels,
+                                                          max_depth, n_estimators, reg_lambda,
+                                                          seed, column, constant, copy):
+        X, y = _random_xy(np.random.default_rng(seed), [n], n_features, levels)
+        extra = X[:, column % n_features] if copy else np.full(n, constant)
+        model, ref = self._fits(X, np.column_stack([X, extra]), y, max_depth, n_estimators,
+                                reg_lambda)
+        assert model.base_score == ref.base_score
+        assert model.train_losses == ref.train_losses
+        assert all(_same_tree(t, u) for t, u in zip(model.trees, ref.trees))
+        imp = gbt_importance(model)
+        assert np.array_equal(imp[:n_features], gbt_importance(ref))
+        assert imp[n_features] == 0.0  # a constant never splits; a copy never wins a tie
+
+    @settings(deadline=None, max_examples=40)
+    @given(**FIT)
+    def test_signed_zeros_are_never_cut_apart(self, n, n_features, levels, max_depth,
+                                              n_estimators, reg_lambda, seed):
+        """-0.0 == 0.0, so a column holding both is never cut between them: the
+        fit equals the fit with every -0.0 made 0.0, and each leaf value is
+        the closed form of the rows the tree routes to it."""
+        rng = np.random.default_rng(seed)
+        X, y = _random_xy(rng, [n], n_features, levels)
+        X[:, 0] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=n)
+        X[:2, 0] = (-0.0, 0.0)  # both signs always present
+        y += 5.0 * ((X[:, 0] == 0.0) & np.signbit(X[:, 0]))  # a cut between them would pay
+        # -0.0 + 0.0 is 0.0
+        model, ref = self._fits(X + 0.0, X, y, max_depth, n_estimators, reg_lambda)
+        assert model.train_losses == ref.train_losses
+        assert all(_same_tree(t, u) for t, u in zip(model.trees, ref.trees))
+        assert leaf_closed_form_worst_err(model, X, y) <= 1e-12 * (1 + np.abs(y).max())

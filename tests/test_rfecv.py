@@ -327,6 +327,23 @@ class TestResume:
         assert _bitwise_key(res) == self._scratch_key(cfg, rfecv_from_scratch(ds, cfg, 4, 5))
 
 
+class TestMetamorphic:
+    @settings(deadline=None, max_examples=10)
+    @given(column=st.integers(0, 5), depth=st.integers(1, 3), step=st.integers(1, 2),
+           seed=st.integers(0, 2**16))
+    def test_a_column_scaled_by_a_quarter_keeps_the_run(self, column, depth, step, seed):
+        """Scaling by a power of two keeps every value's order and scales each
+        split threshold on the column exactly, so the elimination order and
+        every count's CV MSE stay bitwise."""
+        ds = generate_synthetic(48, 3, 3, seed=seed)
+        X = ds.X.copy()
+        X[:, column] *= 0.25
+        scaled = Dataset(ds.feature_names, list(ds.timestamps), X, ds.y)
+        cfg = GbtConfig(learning_rate=0.3, n_estimators=6, max_depth=depth)
+        assert _bitwise_key(rfecv_run(scaled, cfg, step=step, folds=4)) == _bitwise_key(
+            rfecv_run(ds, cfg, step=step, folds=4))
+
+
 class TestExports:
     def test_json_roundtrip(self, tmp_path):
         ds = toy_dataset()
