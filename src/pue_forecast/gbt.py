@@ -59,11 +59,6 @@ class Tree:
     gain: np.ndarray  # the split's loss reduction, 0 at a leaf
 
     @property
-    def right(self) -> np.ndarray:
-        """A split's right child is always its left child + 1; -1 at a leaf."""
-        return np.where(self.left >= 0, self.left + 1, -1)
-
-    @property
     def n_nodes(self) -> int:
         return len(self.feature)
 
@@ -89,31 +84,22 @@ class GbtModel:
                        train_losses=self.train_losses[:n_trees])
 
 
-def _presort(X: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+def _presort(X: np.ndarray, sizes) -> np.ndarray:
     """Stable per-block column presort of the stacked X for _TreeBuilder.
 
-    Returns two [n_features, n_rows] int32 arrays: per block, the stacked row
-    ids in ascending value order; and each row's dense value rank (equal
-    ranks mark equal values; a rank step between two blocks is never read,
-    as no node spans blocks). Feature rows are independent and each block
-    keeps to its own span of positions, so some feature rows and the
-    positions of the leading blocks are the presort of that column subset
-    and those blocks.
+    Returns an [n_features, n_rows] int32 array: per block, the stacked row
+    ids in ascending value order, equal values in row order. Feature rows
+    are independent and each block keeps to its own span of positions, so
+    some feature rows and the positions of the leading blocks are the
+    presort of that column subset and those blocks.
     """
     n, f = X.shape
     bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
     sort_rows = np.empty((f, n), dtype=np.int32)
     for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        sort_rows[:, a:b] = np.argsort(X[a:b], axis=0, kind="stable").T
+        sort_rows[:, a:b] = np.argsort(X[a:b].T, axis=1, kind="stable")
         sort_rows[:, a:b] += a
-    x_sorted = np.take_along_axis(X.T, sort_rows, axis=1)
-    dense = np.zeros((f, n), dtype=np.int32)
-    if n > 1:
-        np.cumsum(x_sorted[:, 1:] != x_sorted[:, :-1], axis=1, dtype=np.int32,
-                  out=dense[:, 1:])
-    rank = np.empty((f, n), dtype=np.int32)
-    np.put_along_axis(rank, sort_rows, dense, axis=1)
-    return sort_rows, rank
+    return sort_rows
 
 
 class _TreeBuilder:
@@ -127,27 +113,28 @@ class _TreeBuilder:
     are bitwise those of building it alone: prefix sums restart at each
     root and per-root reductions run over the same elements in the same order.
 
-    Hot-path arrays are transposed ([n_features, n_rows], one contiguous
-    row per feature) and kept in a grouped layout: grouped by current leaf
-    (roots in order, each root's leaves in node order), ordered by feature
-    value within each group. Only the row-id layout is kept across levels.
-    A split node's children replace it in place, left first, so one stable
-    sort of each feature row by its rows' new group position regroups it
-    and keeps every group in value order. The key is the narrowest unsigned
-    type that holds the group count, so up to 65,535 groups a level sorts
-    by radix; past that numpy falls back to timsort. Residuals and dense
-    value ranks are regathered from the layout into reused buffers. Group
+    The builder keeps one feature-major copy of the values ([n_features,
+    n_rows], one contiguous row per feature; free when X is the transpose of
+    such an array). Hot-path arrays have the same shape and a grouped
+    layout: grouped by current leaf (roots in order, each root's leaves in
+    node order), ordered by feature value within each group. Only the row-id
+    layout is kept across levels. A split node's children replace it in
+    place, left first, so one stable sort of each feature row by its rows'
+    new group position regroups it and keeps every group in value order.
+    The key is the narrowest unsigned type that holds the group count, so up
+    to 65,535 groups a level sorts by radix; past that numpy falls back to
+    timsort. Residuals and values are regathered from the layout into reused
+    buffers; a cut between two equal gathered values is no candidate, and a
+    chosen cut's threshold comes from the two values it lies between. Group
     geometry (run starts, sizes, row-to-group map) is identical across
-    features and computed once per level. Adjacent-value ties are detected
-    via precomputed dense ranks, so raw feature values are only touched when
-    a chosen split needs its midpoint threshold. A split's right child is
-    always its left child + 1, so trees store only `left`.
+    features and computed once per level. A split's right child is always
+    its left child + 1, so trees store only `left`.
     """
 
-    def __init__(self, X: np.ndarray, sizes, presort: tuple, max_depth: int,
+    def __init__(self, X: np.ndarray, sizes, sort_rows: np.ndarray, max_depth: int,
                  reg_lambda: float):
         n, f = X.shape
-        self.X = np.ascontiguousarray(X)
+        self.values = np.ascontiguousarray(X.T)
         self.sizes = np.asarray(sizes, dtype=np.int64)
         bounds = np.concatenate(([0], np.cumsum(self.sizes)))
         self.blocks = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
@@ -155,10 +142,9 @@ class _TreeBuilder:
         self.max_depth = max_depth
         self.lam = reg_lambda
         self.n, self.f = n, f
-        # the presort of exactly these rows and columns (see _presort); ranks
-        # are read by flat offset c*n + row
-        self.sort_rows, rank = presort
-        self.rank_flat = np.ascontiguousarray(rank).ravel()
+        # the presort of exactly these rows and columns (see _presort); values
+        # are gathered by flat offset c*n + row
+        self.sort_rows = sort_rows
         self.rowoff = (n * np.arange(f, dtype=np.int32))[:, None]
         self.rows = np.arange(n)
         self.root_first = np.zeros(n + 1, dtype=bool)
@@ -170,8 +156,8 @@ class _TreeBuilder:
         # reusable level scratch
         self._cums = np.empty((f, n))
         self._gain = np.empty((f, n))
-        self._dr = np.empty((f, n), dtype=np.int32)
-        self._i1 = np.empty((f, n), dtype=np.int32)
+        self._offset = np.empty((f, n), dtype=np.int32)
+        self._vals = np.empty((f, n))
         self._valid = np.empty((f, n), dtype=bool)
         # root r numbers its nodes from first[r] in creation order, in a span
         # holding a full binary tree of max_depth clamped by its row count
@@ -218,8 +204,8 @@ class _TreeBuilder:
             cums = np.take(residual, perm, out=self._cums, mode="clip")
             for a, b in self.blocks:  # prefix sums restart at every root
                 np.cumsum(cums[:, a:b], axis=1, out=cums[:, a:b])
-            np.add(perm, self.rowoff, out=self._dr)
-            dr = np.take(self.rank_flat, self._dr, out=self._i1, mode="clip")
+            np.add(perm, self.rowoff, out=self._offset)
+            vals = np.take(self.values, self._offset, out=self._vals, mode="clip")
             base = cums[:, starts - 1]
             base[:, self.root_first[starts]] = 0.0
             tot = cums[:, ends] - base  # [f, m] exact per-feature segment sums
@@ -252,7 +238,7 @@ class _TreeBuilder:
             candidate = active[gor]
             candidate &= to_end > 0
             valid = self._valid
-            np.not_equal(dr[:, 1:], dr[:, :-1], out=valid[:, : n - 1])
+            np.not_equal(vals[:, 1:], vals[:, :-1], out=valid[:, : n - 1])
             valid &= candidate[None, :]  # also clears the row's last position
             gain *= valid
 
@@ -287,8 +273,8 @@ class _TreeBuilder:
             lg_v = left_g[cs, pos_arr]
             rg_v = tot[cs, sel] - lg_v
             feature[node_ids] = cs
-            lo = self.X[perm[cs, pos_arr], cs]
-            hi = self.X[perm[cs, pos_arr + 1], cs]
+            lo = vals[cs, pos_arr]
+            hi = vals[cs, pos_arr + 1]
             with np.errstate(over="ignore"):
                 mid = 0.5 * (lo + hi)
             # the midpoint, unless it rounds down to lo (adjacent floats) or
@@ -306,7 +292,7 @@ class _TreeBuilder:
 
             node_feat = feature[leaf]
             is_split = node_feat >= 0
-            go_left = self.X[self.rows, np.maximum(node_feat, 0)] < threshold[leaf]
+            go_left = self.values[np.maximum(node_feat, 0), self.rows] < threshold[leaf]
             child = left[leaf]
             child += ~go_left  # right child = left child + 1
             leaf = np.where(is_split, child, leaf)
@@ -357,6 +343,8 @@ def gbt_fit(
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
+    if X.shape[1] == 0:
+        raise ValueError("X has no feature columns")
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
     if X.shape[0] < 2:
@@ -379,7 +367,7 @@ def _fit_core(
     learning_rate: float,
     max_depth: int,
     reg_lambda: float,
-    presort: tuple,
+    presort: np.ndarray,
     sizes,
 ) -> list[GbtModel]:
     """Boosting loops of several independent fits, grown tree by tree in lockstep.

@@ -114,12 +114,13 @@ def _rfecv_group(
     grows the group's largest tree count; its trees are routed once per fold
     to score every member's count, and each config then eliminates on the
     importance of its own count's leading trees. The folds' training rows and
-    (above one feature) all rows are one stacked root each, presorted once;
-    every call takes column slices of it, and its trees' column ids are then
-    mapped to the dataset's. A group may instead take the leading trees of
-    the fit that scored its first member's previous count (see the module
-    docstring), and one info line reports the counts visited and the tree
-    rounds grown and reused.
+    (above one feature) all rows are one stacked root each, held feature-major
+    and presorted once; every call takes column slices of both, passing the
+    values as a transposed view, and its trees' column ids are then mapped to
+    the dataset's. A group may instead take the leading trees of the fit that
+    scored its first member's previous count (see the module docstring), and
+    one info line reports the counts visited and the tree rounds grown and
+    reused.
     """
     if ds.n_features < 2:
         raise ValueError("need at least 2 features")
@@ -132,8 +133,8 @@ def _rfecv_group(
     roots = [tr for tr, _ in fold_list] + [np.arange(ds.n_samples)]
     sizes = [len(rows) for rows in roots]
     stacked = np.concatenate(roots)
-    X_all, y_all = X[stacked], y[stacked]
-    presort = _presort(X_all, sizes)
+    values, y_all = np.take(X.T, stacked, axis=1), y[stacked]  # [features, rows]
+    presort = _presort(values.T, sizes)
     held_out = [(X[va], y[va]) for _, va in fold_list]
 
     actives = [list(range(ds.n_features)) for _ in configs]
@@ -169,8 +170,8 @@ def _rfecv_group(
             else:
                 try:
                     models = _fit_core(
-                        X_all[:m, cols], y_all[:m], n, lr, depth, lam,
-                        tuple(a[cols, :m] for a in presort), sizes[:n_roots],
+                        values[cols, :m].T, y_all[:m], n, lr, depth, lam,
+                        presort[cols, :m], sizes[:n_roots],
                     )
                 except Exception as exc:
                     raise RuntimeError(

@@ -216,18 +216,24 @@ def loop_train_rows(n, fraction):
 
 # --------------------------------------------------------------------- GBT
 
+def right_children(tree):
+    """Each node's right child: a split's left child + 1, -1 at a leaf."""
+    return np.where(tree.left >= 0, tree.left + 1, -1)
+
+
 def walk_predict(model, X):
     """Independent per-row traversal of the stored node arrays."""
     out = np.empty(X.shape[0])
+    rights = [right_children(tree) for tree in model.trees]
     for r, row in enumerate(X):
         total = model.base_score
-        for tree in model.trees:
+        for tree, right in zip(model.trees, rights):
             i = 0
             while tree.feature[i] >= 0:
                 if row[tree.feature[i]] < tree.threshold[i]:
                     i = int(tree.left[i])
                 else:
-                    i = int(tree.right[i])
+                    i = int(right[i])
             total += model.learning_rate * tree.value[i]
         out[r] = total
     return out
@@ -330,6 +336,7 @@ def leaf_closed_form_worst_err(model, X, y):
     against sum(residuals) / (count + lambda)."""
     worst = 0.0
     for tree, resid in replay_residuals(model, X, y):
+        right = right_children(tree)
         leaves = {}
         for r in range(len(y)):
             i = 0
@@ -337,7 +344,7 @@ def leaf_closed_form_worst_err(model, X, y):
                 i = (
                     int(tree.left[i])
                     if X[r, tree.feature[i]] < tree.threshold[i]
-                    else int(tree.right[i])
+                    else int(right[i])
                 )
             leaves.setdefault(i, []).append(resid[r])
         for i, rs in leaves.items():
@@ -348,10 +355,12 @@ def leaf_closed_form_worst_err(model, X, y):
 
 def tree_depth(tree):
     """Longest root-to-leaf path of a fitted tree, counted in splits."""
+    right = right_children(tree)
+
     def walk(i):
         if tree.feature[i] < 0:
             return 0
-        return 1 + max(walk(int(tree.left[i])), walk(int(tree.right[i])))
+        return 1 + max(walk(int(tree.left[i])), walk(int(right[i])))
     return walk(0)
 
 
@@ -398,7 +407,7 @@ def model_dump(model):
             lines.append(f"{pad}if x[{int(tree.feature[i])}] < {tree.threshold[i]:.6g}:")
             walk(tree, int(tree.left[i]), pad + "  ")
             lines.append(f"{pad}else:")
-            walk(tree, int(tree.right[i]), pad + "  ")
+            walk(tree, int(right_children(tree)[i]), pad + "  ")
 
     for k, tree in enumerate(model.trees):
         lines.append(f"tree {k}:")

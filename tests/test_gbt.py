@@ -12,6 +12,7 @@ from oracles import (
     leaf_closed_form_worst_err,
     model_dump,
     replay_residuals,
+    right_children,
     stump_sses,
     tree_depth,
     walk_predict,
@@ -92,6 +93,7 @@ class TestFit:
                     reg_lambda=lam)
         for tree, resid in replay_residuals(m, X, y):
             # route rows independently, then check v = sum(residuals)/(count + lam)
+            right = right_children(tree)
             leaves = {}
             for r in range(len(y)):
                 i = 0
@@ -99,7 +101,7 @@ class TestFit:
                     i = (
                         int(tree.left[i])
                         if X[r, tree.feature[i]] < tree.threshold[i]
-                        else int(tree.right[i])
+                        else int(right[i])
                     )
                 leaves.setdefault(i, []).append(resid[r])
             for i, rs in leaves.items():
@@ -156,6 +158,10 @@ class TestFit:
                 gbt_fit(X, y, bad, 0.1, 2)
             with pytest.raises(ValueError, match="max_depth must be an int"):
                 gbt_fit(X, y, 2, 0.1, bad)
+
+    def test_zero_feature_columns_are_rejected(self):
+        with pytest.raises(ValueError, match="X has no feature columns"):
+            gbt_fit(np.zeros((4, 0)), np.arange(4.0), 2, 0.1, 2)
 
 
 class TestPredict:
@@ -261,18 +267,16 @@ class TestImportance:
 
 
 def _stacked_presort(X, sizes):
-    """Per-block stable column argsorts (block-local row ids) and sorted values."""
+    """Per-block stable column argsorts (block-local row ids)."""
     bounds = np.cumsum([0] + list(sizes))
     blocks = [X[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    sorts = [np.argsort(B, axis=0, kind="stable") for B in blocks]
-    sorted_x = [np.take_along_axis(B, s, axis=0) for B, s in zip(blocks, sorts)]
-    return np.concatenate(sorts), np.concatenate(sorted_x), bounds
+    return np.concatenate([np.argsort(B, axis=0, kind="stable") for B in blocks]), bounds
 
 
 def _same_tree(a, b):
-    return all(
+    return np.array_equal(right_children(a), right_children(b)) and all(
         np.array_equal(getattr(a, k), getattr(b, k)) and getattr(a, k).dtype == getattr(b, k).dtype
-        for k in ("feature", "threshold", "left", "right", "value", "gain")
+        for k in ("feature", "threshold", "left", "value", "gain")
     )
 
 
@@ -304,7 +308,7 @@ def _assert_same_as_greedy(tree, node, i=0):
     assert (tree.feature[i], tree.threshold[i]) == (node["feature"], node["threshold"])
     assert tree.gain[i] == pytest.approx(node["gain"], rel=1e-9, abs=0)
     _assert_same_as_greedy(tree, node["left"], tree.left[i])
-    _assert_same_as_greedy(tree, node["right"], tree.right[i])
+    _assert_same_as_greedy(tree, node["right"], right_children(tree)[i])
 
 
 def _random_xy(rng, sizes, n_features, levels):
@@ -423,25 +427,19 @@ class TestMultiRoot:
                                        n_estimators, reg_lambda, seed):
         rng = np.random.default_rng(seed)
         X, y = _random_xy(rng, sizes, n_features, levels)
-        sort_idx, x_sorted, bounds = _stacked_presort(X, sizes)
+        sort_idx, bounds = _stacked_presort(X, sizes)
 
         # the presort against per-block argsorts: stacked row ids in value
-        # order, equal dense ranks exactly at equal adjacent values, each
-        # row's rank; its feature rows and leading blocks are the presort of
-        # that column subset and those blocks
+        # order; its feature rows and leading blocks are the presort of that
+        # column subset and those blocks
         presort = _presort(X, sizes)
-        sort_rows, rank = presort
-        dense = np.take_along_axis(rank, sort_rows, axis=1)
         shift = np.repeat(bounds[:-1], sizes)[:, None]
-        assert np.array_equal(sort_rows, (sort_idx + shift).T)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            assert np.array_equal(np.diff(dense[:, a:b], axis=1) == 0,
-                                  np.diff(x_sorted[a:b].T, axis=1) == 0)
+        assert presort.dtype == np.int32
+        assert np.array_equal(presort, (sort_idx + shift).T)
         cols = np.flatnonzero(rng.random(n_features) < 0.5).tolist() or [n_features - 1]
         lead = int(rng.integers(1, len(sizes) + 1))
         m = int(bounds[lead])
-        sub = _presort(X[:m, cols], sizes[:lead])
-        assert all(np.array_equal(p[cols, :m], q) for p, q in zip(presort, sub))
+        assert np.array_equal(presort[cols, :m], _presort(X[:m, cols], sizes[:lead]))
 
         # one build: trees (with their node gains) and per-row leaves of every root
         stacked = _TreeBuilder(X, sizes, presort, max_depth, reg_lambda)
@@ -474,8 +472,9 @@ class TestMultiRoot:
         groups = np.zeros(max_depth + 1, dtype=int)
         for t in trees:
             depth = np.zeros(t.n_nodes, dtype=int)
+            right = right_children(t)
             for i in np.flatnonzero(t.left >= 0):  # parents are numbered first
-                depth[t.left[i]] = depth[t.right[i]] = depth[i] + 1
+                depth[t.left[i]] = depth[right[i]] = depth[i] + 1
             for d in range(max_depth + 1):
                 groups[d] += np.sum((depth == d) | ((depth < d) & (t.left < 0)))
         assert groups[:max_depth].max() > 255  # the last level is not regrouped
@@ -550,9 +549,8 @@ class TestColumnSubsets:
         # one build: trees (with their node gains) and each row's leaf
         trees, leaf = _TreeBuilder(X, sizes, presort, max_depth, reg_lambda).build(y)
         cols = superset(trees)
-        sub_presort = tuple(a[cols] for a in presort)
         sub_trees, sub_leaf = _TreeBuilder(
-            X[:, cols], sizes, sub_presort, max_depth, reg_lambda).build(y)
+            X[:, cols], sizes, presort[cols], max_depth, reg_lambda).build(y)
         for sub, full in zip(sub_trees, trees):
             same_tree(sub, full, cols)
         assert np.array_equal(sub_leaf, leaf)
@@ -562,7 +560,7 @@ class TestColumnSubsets:
                          presort, sizes)
         cols = superset([t for m in full for t in m.trees])
         subs = _fit_core(X[:, cols], y, n_estimators, 0.3, max_depth, reg_lambda,
-                         tuple(a[cols] for a in presort), sizes)
+                         presort[cols], sizes)
         for sub, model in zip(subs, full):
             assert sub.base_score == model.base_score
             assert len(sub.trees) == len(model.trees)
@@ -599,6 +597,7 @@ class TestMetamorphic:
 
     @staticmethod
     def _fits(X, X2, y, max_depth, n_estimators, reg_lambda):
+        """(the fit on X2, the reference fit on X), with the same settings."""
         kw = dict(n_estimators=n_estimators, learning_rate=0.3, max_depth=max_depth,
                   reg_lambda=reg_lambda)
         return gbt_fit(X2, y, **kw), gbt_fit(X, y, **kw)
