@@ -221,6 +221,38 @@ class TestGrid:
         mses = [r.best_mse for r in results]
         assert mses == sorted(mses)
 
+    def test_ranking_breaks_ties_in_grid_order_and_cuts_after_dedup(self, monkeypatch):
+        # crafted per-config (best MSE, selected set), in grid order
+        crafted = {
+            (0.1, 1): (0.5, ["a"]),
+            (0.1, 2): (0.25, ["b"]),
+            (0.1, 3): (0.25, ["a"]),  # ties (0.1, 2) with another set; beats (0.1, 1)
+            (0.2, 1): (0.25, ["b"]),  # ties (0.1, 2) with the same set
+            (0.2, 2): (0.125, ["c"]),
+            (0.2, 3): (0.125, ["c"]),  # ties (0.2, 2) with the same set
+        }
+
+        def fake_group(ds, configs, step, folds):
+            return [
+                rfecv.RfecvResult([], {1: mse}, 1, names, cfg)
+                for cfg in configs
+                for mse, names in [crafted[cfg.learning_rate, cfg.n_estimators]]
+            ]
+
+        monkeypatch.setattr(rfecv, "_rfecv_group", fake_group)
+
+        def ranked(top_k):
+            results = rfecv_grid(toy_dataset(), lr_grid=(0.1, 0.2), n_estimators_grid=(1, 2, 3),
+                                 max_depth_grid=(1,), top_k=top_k, folds=5)
+            return [(r.estimator_config.learning_rate, r.estimator_config.n_estimators)
+                    for r in results]
+
+        assert ranked(10) == [(0.2, 2), (0.1, 2), (0.1, 3)]
+        # a cut before deduplication would keep (0.2, 2) and its duplicate (0.2, 3)
+        assert ranked(3) == [(0.2, 2), (0.1, 2), (0.1, 3)]
+        assert ranked(2) == [(0.2, 2), (0.1, 2)]
+        assert ranked(1) == [(0.2, 2)]
+
     def test_workers_deterministic(self):
         ds = generate_synthetic(50, 4, 1, seed=6)
         kwargs = dict(lr_grid=(0.3, 0.1), n_estimators_grid=(10, 3, 10),
