@@ -408,32 +408,29 @@ def gbt_predict(m: GbtModel, X: np.ndarray, counts=None) -> np.ndarray:
     With `counts`, returns [len(counts), n_rows]: row j is the prediction of
     the first counts[j] trees, bitwise equal to predicting with that prefix
     alone, while every tree is routed once. Each row's per-tree steps are
-    added in tree order either way.
+    added in tree order either way: a cumulative sum over the stacked base
+    score and steps is a sequential running sum.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != m.n_features:
         raise ValueError(
             f"expected a 2-D matrix with {m.n_features} columns, got shape {X.shape}"
         )
-    staged = (len(m.trees),) if counts is None else tuple(counts)
+    staged = [len(m.trees)] if counts is None else list(counts)
     if not all(0 <= t <= len(m.trees) for t in staged):
         raise ValueError(f"tree counts must lie in 0..{len(m.trees)}, got {staged}")
-    rows_at: dict[int, list[int]] = {}
-    for j, t in enumerate(staged):
-        rows_at.setdefault(t, []).append(j)
-    out = np.full((len(staged), X.shape[0]), m.base_score)
-    running = np.full(X.shape[0], m.base_score)
     trees = m.trees[: max(staged, default=0)]
-    if trees:
-        # all trees walk a block of rows together; the block bounds the
-        # [n_trees, rows] routing arrays
-        block = max(1, _ROUTE_CELLS // len(trees))
-        for lo in range(0, X.shape[0], block):
-            hi = lo + block
-            for t, v in enumerate(_leaf_values(trees, X[lo:hi]), 1):
-                running[lo:hi] += m.learning_rate * v
-                if t in rows_at:
-                    out[rows_at[t], lo:hi] = running[lo:hi]
+    out = np.empty((len(staged), X.shape[0]))
+    # all trees walk a block of rows together; the block bounds the
+    # [n_trees, rows] routing arrays
+    block = max(1, _ROUTE_CELLS // max(len(trees), 1))
+    for lo in range(0, X.shape[0], block):
+        rows = X[lo : lo + block]
+        steps = np.empty((len(trees) + 1, len(rows)))  # row t: the prefix of t trees
+        steps[0] = m.base_score
+        if trees:
+            np.multiply(m.learning_rate, _leaf_values(trees, rows), out=steps[1:])
+        out[:, lo : lo + block] = np.cumsum(steps, axis=0, out=steps)[staged]
     return out[0] if counts is None else out
 
 

@@ -74,17 +74,8 @@ def make_folds(n: int, folds: int) -> list[tuple[np.ndarray, np.ndarray]]:
         raise ValueError("need at least 2 folds")
     if folds > n:
         raise ValueError(f"cannot build {folds} folds from {n} samples")
-    base, rem = divmod(n, folds)
-    out = []
-    idx = np.arange(n)
-    start = 0
-    for i in range(folds):
-        size = base + (1 if i < rem else 0)
-        val = idx[start : start + size]
-        tr = np.concatenate([idx[:start], idx[start + size :]])
-        out.append((tr, val))
-        start += size
-    return out
+    blocks = np.array_split(np.arange(n), folds)  # the first n % folds one row longer
+    return [(np.concatenate(blocks[:i] + blocks[i + 1 :]), val) for i, val in enumerate(blocks)]
 
 
 def rfecv_run(
@@ -153,15 +144,16 @@ def _rfecv_group(
         groups: dict[tuple[int, ...], list[int]] = {}
         for i, active in enumerate(actives):
             groups.setdefault(tuple(active), []).append(i)
-        for cols, members in groups.items():
-            cols = list(cols)
+        for active, members in groups.items():
+            ids = np.array(active + (-1,))  # feature -1 marks a leaf
+            cols = ids[:-1]
             trees = [configs[i].n_estimators for i in members]
             n = max(trees)
             # take the first n trees of the fit that scored a member's last
             # count when it has them and none splits on a dropped column
             models = last_fit[members[0]]
             kept = np.zeros(ds.n_features + 1, dtype=bool)
-            kept[cols + [-1]] = True  # feature -1 marks a leaf
+            kept[ids] = True
             if models is not None and len(models[0].trees) >= n and all(
                 kept[t.feature].all() for model in models[:n_roots] for t in model.trees[:n]
             ):
@@ -177,11 +169,10 @@ def _rfecv_group(
                     raise RuntimeError(
                         f"estimator failed at feature count {count}: {exc}"
                     ) from exc
-                to_dataset = np.array(cols + [-1])  # the last slot keeps leaves at -1
                 for model in models:
                     model.n_features = ds.n_features
                     for t in model.trees:
-                        t.feature = to_dataset[t.feature]
+                        t.feature = ids[t.feature]  # the last slot keeps leaves at -1
                 grown += n
             for i in members:
                 last_fit[i] = models
@@ -200,11 +191,10 @@ def _rfecv_group(
                 if count == 1:
                     continue
                 imp = gbt_importance(models[folds].first(n_trees))[cols]
-                drop_local = np.argsort(imp, kind="stable")[: min(step, count - 1)]
-                for li in sorted(drop_local.tolist()):
-                    orders[i].append(actives[i][li])
-                for li in sorted(drop_local.tolist(), reverse=True):
-                    del actives[i][li]
+                keep = np.ones(count, dtype=bool)
+                keep[np.argsort(imp, kind="stable")[: min(step, count - 1)]] = False
+                orders[i] += cols[~keep].tolist()
+                actives[i] = cols[keep].tolist()
         if count == 1:
             break
         count = len(actives[0])
@@ -289,18 +279,11 @@ def rfecv_grid(
         for i, r in zip(idx, out):
             results[i] = r
 
-    order = sorted(range(len(results)), key=lambda i: (results[i].best_mse, i))
-    seen: set[tuple[str, ...]] = set()
-    out: list[RfecvResult] = []
-    for i in order:
-        key = tuple(results[i].selected_features)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(results[i])
-        if len(out) == top_k:
-            break
-    return out
+    # a stable sort: grid order breaks ties, and each set keeps its first config
+    best: dict[tuple[str, ...], RfecvResult] = {}
+    for r in sorted(results, key=lambda r: r.best_mse):
+        best.setdefault(tuple(r.selected_features), r)
+    return list(best.values())[:top_k]
 
 
 def results_to_json(results: list[RfecvResult]) -> list[dict]:
