@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .dataset import (
+    LOG_FORMAT,
     TARGET_COLUMN,
     TIMESTAMP_COLUMN,
     Dataset,
@@ -89,7 +90,7 @@ def _setup_logging() -> None:
         "warning": logging.WARNING,
         "error": logging.ERROR,
     }.get(name, logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(level=level, format=LOG_FORMAT)
 
 
 Manifest = tuple[Path, list[str], list[str]]  # (manifest path, inputs, outputs)
@@ -165,6 +166,11 @@ def cmd_tune(args: argparse.Namespace) -> Manifest:
     parts = zip(("training", "held-out"), split_chronological(ds, args.split), (1, 2))
     for part, rows, need in parts:
         most = rows.n_samples - need + 1
+        if most < 1:
+            raise ValueError(
+                f"--split {args.split} leaves the {part} partition {rows.n_samples} of "
+                f"{ds.n_samples} rows, too few to cut {need} windows of any --window length"
+            )
         if args.window > most:
             raise ValueError(
                 f"--window {args.window} exceeds {most}, the longest that cuts {need} "
@@ -252,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", "-n", type=_positive_int, default=5000)
     p.add_argument("--informative", type=_positive_int, default=8)
     p.add_argument("--noise", type=_non_negative_int, default=24)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_non_negative_int, default=1)
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -265,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=_positive_int, default=1)
     p.add_argument("--folds", type=_fold_count, default=5)
     p.add_argument("--split", type=_fraction, default=0.8)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_non_negative_int, default=0,
                    help="recorded in the manifest; selection is deterministic and "
                    "does not use it")
     p.add_argument("--workers", type=_positive_int, default=1)
@@ -292,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=_fraction, default=0.8)
     p.add_argument("--max-epochs", type=_positive_int, default=4000)
     p.add_argument("--eval-every", type=_positive_int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--fit-on-all", action="store_true")
     p.add_argument("--pue-units", action="store_true",

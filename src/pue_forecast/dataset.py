@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 import numbers
 from dataclasses import dataclass
@@ -278,6 +279,16 @@ def read_json(path: str | Path):
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
+LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
+
+
+def logging_at(level: int, fn, arg):
+    """fn(arg) in a pool worker, after setting up logging there at the
+    caller's `level` in the CLI's format; spawned workers start without it."""
+    logging.basicConfig(level=level, format=LOG_FORMAT)
+    return fn(arg)
+
+
 def is_finite_number(value) -> bool:
     """True for a finite int or float, numpy scalars included; False for a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
@@ -333,6 +344,8 @@ def generate_synthetic(
         )
     if n_noise < 0:
         raise ValueError("n_noise must be non-negative")
+    if int(seed) < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
 
     rng = np.random.default_rng(int(seed))
     k = n_informative

@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, read_json, require_fields, write_rows
+from .dataset import Dataset, logging_at, read_json, require_fields, write_rows
 from .gbt import GbtConfig, _fit_core, _presort, gbt_importance, gbt_predict
 
 log = logging.getLogger(__name__)
@@ -273,7 +273,8 @@ def rfecv_grid(
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=get_context("spawn")
         ) as pool:
-            outs = list(pool.map(run, job_configs))
+            outs = list(pool.map(partial(logging_at, log.getEffectiveLevel(), run),
+                                 job_configs))
     results: list[RfecvResult] = [None] * len(configs)  # type: ignore[list-item]
     for idx, out in zip(jobs.values(), outs):
         for i, r in zip(idx, out):

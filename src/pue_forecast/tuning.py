@@ -18,6 +18,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .dataset import (
     WindowedSet,
     fit_normalizer,
     is_finite_number,
+    logging_at,
     normalize,
     read_json,
     require_fields,
@@ -93,6 +95,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.layers < 1 or self.hidden_dim < 1 or self.window < 1:
             raise ValueError("layers, hidden_dim and window must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not (is_finite_number(value) and 0 <= value < 1):
@@ -495,20 +499,20 @@ def _run_job(job: _Job) -> tuple[TuneRecord, Checkpoint | None]:
         n_params=sum(math.prod(s) for _, s in
                      param_shapes(n_feat, cfg.hidden_dim, cfg.layers, cfg.mode)),
     )
+    norm = job.normalization
+    scale = norm.target_max - norm.target_min if job.pue_units else 1.0
     try:
-        ckpt, _history = train(job.ws_train, job.ws_eval, cfg, job.normalization)
+        ckpt, _history = train(job.ws_train, job.ws_eval, cfg, norm)
     except Exception as exc:  # a failed grid point is recorded, not fatal
         rec.failed = True
         if isinstance(exc, TrainingDiverged):
             rec.error = str(exc)
             if math.isfinite(exc.last_finite_loss):
-                rec.mse = exc.last_finite_loss
+                rec.mse = exc.last_finite_loss * scale * scale
         else:
             rec.error = f"{type(exc).__name__}: {exc}"
         return rec, None
 
-    norm = job.normalization
-    scale = norm.target_max - norm.target_min if job.pue_units else 1.0
     rec.best_epoch = ckpt.best_epoch
     rec.mse = ckpt.metrics["mse"] * scale * scale
     rec.mae = ckpt.metrics["mae"] * scale
@@ -580,7 +584,8 @@ def grid_search(
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=get_context("spawn")
         ) as pool:
-            outcomes = list(pool.map(_run_job, jobs))
+            outcomes = list(pool.map(partial(logging_at, log.getEffectiveLevel(), _run_job),
+                                     jobs))
 
     report = TuneReport([rec for rec, _ in outcomes], {})
     ckpt_of = {id(rec): ckpt for rec, ckpt in outcomes}

@@ -1,11 +1,15 @@
+import base64
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from pue_forecast import tuning
 from pue_forecast.cli import main
 from pue_forecast.dataset import load_csv
 from pue_forecast.metrics import evaluate
@@ -46,6 +50,14 @@ class TestGenerate:
                 "and outdoor temperature") in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_channels_past_the_eighth_are_facility_drivers(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run_cli("generate", "--samples", "20", "--informative", "9", "--noise", "0",
+                       "--seed", "1", "-o", str(out)) == 0
+        ds = load_csv(out)
+        assert ds.feature_names[8] == "facility_driver_08"
+        assert ds.n_features == 9
+
     def test_zero_samples_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("generate", "--samples", "0", "-o", str(tmp_path / "x.csv"))
@@ -60,6 +72,33 @@ class TestGenerate:
         assert doc["flags"]["samples"] == 20
         assert str(out) in doc["outputs"]
         assert doc["duration_seconds"] >= 0
+
+
+@pytest.mark.parametrize("command", ["generate", "select-features", "tune"])
+def test_negative_seed_is_a_usage_error_naming_the_flag(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "-i" if command != "generate" else "-o", str(tmp_path / "d.csv"),
+                "--seed", "-1")
+    assert exc.value.code == 2
+    assert "argument --seed: -1 is negative" in capsys.readouterr().err
+
+
+class TestCsvErrors:
+    """A malformed telemetry CSV fails the command, naming the file and the cell."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("timestamp,a,b,PUE\n2024-01-01T00:00:00,1,2,1.5\nyesterday,1,2,1.5\n",
+         "row 2, column 'timestamp': invalid ISO-8601 timestamp 'yesterday'"),
+        ("timestamp,a,b,PUE\n", "no data rows"),
+    ], ids=["timestamp", "header_only"])
+    def test_select_features_names_the_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code = run_cli("select-features", "-i", str(path), "-o", str(tmp_path / "sel"),
+                       "--lr", "0.1", "--trees", "2", "--depth", "1")
+        assert code == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "sel").exists()
 
 
 class TestSelectFeatures:
@@ -216,12 +255,15 @@ class TestTune:
         (["--window", "13", "--split", "0.1"],
          "--window 13 exceeds 12, the longest that cuts 1 window(s) from the 12 rows of "
          "the training partition that --split 0.1 leaves of 120 rows"),
+        (["--window", "3", "--split", "0.995"],
+         "--split 0.995 leaves the held-out partition 1 of 120 rows, too few to cut 2 "
+         "windows of any --window length"),
         (["--eval-every", "5"], "--eval-every 5 exceeds --max-epochs 2"),
         (["--lr", "nan"], "--lr: learning_rate must be finite and non-negative, got nan"),
         (["--grad-clip", "0"], "--grad-clip must be positive, got 0.0"),
         (["--grad-clip", "-1"], "--grad-clip must be positive, got -1.0"),
         (["--grad-clip", "nan"], "--grad-clip must be positive, got nan"),
-    ], ids=["window", "window_one_held_out", "window_training", "eval_every", "lr",
+    ], ids=["window", "window_one_held_out", "window_training", "split", "eval_every", "lr",
             "grad_clip_0", "grad_clip_-1", "grad_clip_nan"])
     def test_flag_errors_name_the_flag(self, small_csv, tmp_path, capsys, flags, message):
         code = run_cli("tune", "-i", str(small_csv), "-o", str(tmp_path / "tune"),
@@ -241,6 +283,24 @@ class TestTune:
         assert code == 1
         assert "all 1 configs failed" in capsys.readouterr().err
         assert not list((tmp_path / "tune").glob("checkpoint_*.json"))
+
+
+    def test_a_grid_point_that_fails_otherwise_records_type_and_message(
+            self, small_csv, tmp_path, capsys, monkeypatch):
+        def broken_train(*args):
+            raise ArithmeticError("no room for the model")
+
+        monkeypatch.setattr(tuning, "train", broken_train)
+        code = run_cli("tune", "-i", str(small_csv), "-o", str(tmp_path / "tune"),
+                       "--mode", "gru", "--layers", "1", "--hidden", "2", "--lr", "0.02",
+                       "--window", "3", "--max-epochs", "2", "--eval-every", "2")
+        assert code == 1
+        assert ("all 1 configs failed, no checkpoint written; first error: "
+                "ArithmeticError: no room for the model") in capsys.readouterr().err
+        with (tmp_path / "tune" / "tune_records.csv").open(newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["failed"], row["error"], row["mse"]) == (
+            "1", "ArithmeticError: no room for the model", "")
 
 
 class TestPredict:
@@ -336,6 +396,33 @@ class TestPredict:
             assert str(path) in err
             assert ("feature_min" if name == "norm" else "params_b64") in err
 
+    def test_non_finite_parameter_names_file_and_field(self, small_csv, tmp_path, capsys):
+        ckpt = self._tune(small_csv, tmp_path)
+        doc = json.loads(ckpt.read_text())
+        params = np.frombuffer(base64.b64decode(doc["params_b64"]), dtype="<f8").copy()
+        params[3] = np.nan
+        doc["params_b64"] = base64.b64encode(params.tobytes()).decode("ascii")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli("predict", "-c", str(path), "-i", str(small_csv),
+                       "-o", str(tmp_path / "p.csv"))
+        assert code == 1
+        assert (f"{path}: field 'params_b64' contains non-finite values"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_negative_seed_in_the_config_fails_at_load(self, small_csv, tmp_path, capsys):
+        ckpt = self._tune(small_csv, tmp_path)
+        doc = json.loads(ckpt.read_text())
+        doc["config"]["seed"] = -3
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli("predict", "-c", str(path), "-i", str(small_csv),
+                       "-o", str(tmp_path / "p.csv"))
+        assert code == 1
+        assert (f"{path}: field 'config': seed must be non-negative, got -3"
+                in capsys.readouterr().err)
+
     def test_checkpoint_not_an_object_or_not_json(self, small_csv, tmp_path, capsys):
         for name, text in (("list", "[1, 2]"), ("broken", '{"format_version": 1,')):
             path = tmp_path / f"{name}.json"
@@ -413,6 +500,32 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_pool_workers_log_at_the_callers_level(self, tmp_path):
+        """Spawned pool workers set up logging as the CLI does: each
+        (learning rate, depth) group of select-features logs its info line,
+        and each tune grid point its debug lines."""
+        data = tmp_path / "d.csv"
+        assert run_cli("generate", "--samples", "60", "--informative", "3", "--noise", "2",
+                       "--seed", "1", "-o", str(data)) == 0
+
+        def stderr(level, *argv):
+            proc = subprocess.run(
+                [sys.executable, "-m", "pue_forecast.cli", *argv, "-i", str(data),
+                 "--lr", "0.1", "0.05", "--workers", "2"],
+                capture_output=True, text=True, env={**os.environ, "PUE_FORECAST_LOG": level},
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stderr
+
+        err = stderr("info", "select-features", "-o", str(tmp_path / "sel"),
+                     "--trees", "2", "--depth", "1", "--folds", "3")
+        assert sorted(re.findall(r"^INFO pue_forecast\.rfecv: rfecv lr=(\S+) ", err, re.M)) == [
+            "0.05", "0.1"]
+        err = stderr("debug", "tune", "-o", str(tmp_path / "tune"), "--mode", "gru",
+                     "--layers", "1", "--hidden", "2", "--window", "3", "--max-epochs", "2",
+                     "--eval-every", "2")
+        assert len(re.findall(r"^DEBUG pue_forecast\.tuning: epoch 2 ", err, re.M)) == 2
 
     def test_log_env_var(self, tmp_path):
         proc = subprocess.run(

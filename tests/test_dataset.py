@@ -218,6 +218,10 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="n_noise"):
             generate_synthetic(10, 3, -1, seed=0)
 
+    def test_negative_seed_names_the_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            generate_synthetic(10, 3, 0, seed=-1)
+
     def test_informative_channels_outcorrelate_noise(self):
         # Pearson correlation computed directly on the generated output
         ds = generate_synthetic(2000, 5, 15, seed=7)

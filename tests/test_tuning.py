@@ -155,6 +155,18 @@ class TestTrain:
         _, hist = train(ws_tr, ws_te, cfg, unit_norm(2))
         assert hist.train_loss[-1] < hist.train_loss[0]
 
+    @pytest.mark.parametrize("n_train, n_eval, message", [
+        (0, 2, "training set is empty"),
+        (1, 1, "evaluation set needs at least two windows"),
+    ], ids=["no_training_window", "one_held_out_window"])
+    def test_too_few_windows_rejected(self, n_train, n_eval, message):
+        ws_tr = WindowedSet(np.zeros((n_train, 3, 2)), np.zeros(n_train), 3)
+        ws_te = WindowedSet(np.zeros((n_eval, 3, 2)), np.zeros(n_eval), 3)
+        cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.01,
+                          max_epochs=2, eval_every=2, mode="gru", window=3)
+        with pytest.raises(ValueError, match=message):
+            train(ws_tr, ws_te, cfg, unit_norm(2))
+
     def test_eval_cadence(self):
         ws_tr, ws_te, norm, _ = make_windowed()
         cfg = TrainConfig(layers=1, hidden_dim=2, learning_rate=0.01,
@@ -281,6 +293,8 @@ class TestTrain:
                 with pytest.raises(ValueError, match=f"{name} must be an int"):
                     TrainConfig(**{"layers": 1, "hidden_dim": 2, "learning_rate": 0.1,
                                    name: bad})
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            TrainConfig(layers=1, hidden_dim=2, learning_rate=0.1, seed=-1)
         for name in ("beta1", "beta2"):
             for bad in (-0.1, 1.0, float("nan"), "x", True):
                 with pytest.raises(ValueError, match=name):
@@ -571,6 +585,19 @@ class TestGridSearch:
         assert b.mse == a.mse * span * span
         assert b.mae == a.mae * span
         assert b.r2 == a.r2
+
+    def test_pue_units_scale_a_diverged_runs_mse(self):
+        # a step of 1e300 overflows the next forward pass; the diverged row
+        # keeps its last finite training loss, in the units of the trained rows
+        ds = generate_synthetic(80, 3, 0, seed=16)
+        kwargs = dict(mode="gru", layers_grid=(1,), hidden_grid=(2,), lr_grid=(1e300,),
+                      window_length=3, train_fraction=0.75, max_epochs=4, eval_every=2)
+        (a,) = grid_search(ds, [list(ds.feature_names)], **kwargs).records
+        (b,) = grid_search(ds, [list(ds.feature_names)], pue_units=True, **kwargs).records
+        tr, _ = split_chronological(ds, 0.75)
+        span = fit_normalizer(tr).target_max - fit_normalizer(tr).target_min
+        assert a.failed and b.failed and a.mse > 0
+        assert b.mse == a.mse * span * span
 
     def test_unknown_feature_name(self):
         ds = generate_synthetic(50, 3, 0, seed=17)
