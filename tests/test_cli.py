@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,6 +444,29 @@ class TestPredict:
                        "-o", str(tmp_path / "p.csv"))
         assert code == 1
         assert "window" in capsys.readouterr().err
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["compat_bigru_l2_h3", "compat_gru_l1_h2"])
+def test_committed_checkpoints_predict_and_save_the_same_bytes(tmp_path, name):
+    """Checkpoints and predictions written by an earlier version stay readable
+    and bitwise reproducible. The fixtures came from
+
+        generate -n 40 --informative 3 --noise 1 --seed 7 -o compat.csv
+        tune -i compat.csv --window 3 --max-epochs 20 --eval-every 10
+             --mode bigru --layers 2 --hidden 3 --lr 0.01 --seed 1   (bigru)
+             --mode gru --layers 1 --hidden 2 --lr 0.05 --seed 2     (gru)
+        predict -c <checkpoint> -i compat.csv -o <checkpoint>_predict.csv
+    """
+    ckpt = DATA / f"{name}.json"
+    out = tmp_path / "p.csv"
+    assert run_cli("predict", "-c", str(ckpt), "-i", str(DATA / "compat.csv"),
+                   "-o", str(out)) == 0
+    assert out.read_bytes() == (DATA / f"{name}_predict.csv").read_bytes()
+    Checkpoint.load(ckpt).save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == ckpt.read_bytes()
 
 
 class TestManifests:
