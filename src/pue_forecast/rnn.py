@@ -13,9 +13,9 @@ cells' per-step hidden states (elementwise, not concatenation). Stacked layers
 consume the previous layer's full output sequence; the readout is an affine map
 of the final layer's last-step state.
 
-A model's arrays (from init_params, Checkpoint.to_model or backward_batch) are
-views of one float64 vector, its `params`, in payload order (param_shapes): a
-checkpoint stores that vector as it is, Adam updates it with a few ufunc calls,
+A Model is made from its dimensions and one float64 vector, its `params`, and
+its arrays are views of that vector in payload order (param_shapes): a
+checkpoint stores the vector as it is, Adam updates it with a few ufunc calls,
 and the tiles of a batch sum gradient vectors.
 
 Training and prediction run a batch in window tiles (TileRunner): near-equal
@@ -63,10 +63,11 @@ the batch) backs the training loop, where only run-to-run determinism matters.
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -170,59 +171,16 @@ class BiGruLayer:
     def input_dim(self) -> int:
         return self.forward.input_dim
 
-    def param_items(self) -> list[tuple[str, np.ndarray]]:
-        return [(f"{tag}.{n}", a) for tag, cell in (("fwd", self.forward), ("bwd", self.backward))
-                for n, a in cell.param_items()]
-
 
 def _cells(layer: GruParams | BiGruLayer) -> tuple[GruParams, ...]:
     """The cells of a layer in scan order; the second one scans right to left."""
     return (layer.forward, layer.backward) if isinstance(layer, BiGruLayer) else (layer,)
 
 
-@dataclass
-class Model:
-    """A stack of GRU or BiGRU layers with a scalar affine readout; `params` is
-    the vector its arrays view, None for a model built from separate arrays."""
-
-    layers: list
-    w_o: np.ndarray
-    b_o: np.ndarray  # shape (1,)
-    mode: str
-    params: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.mode not in _CELLS_PER_LAYER:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        want = BiGruLayer if self.mode == "bigru" else GruParams
-        if not self.layers or any(not isinstance(l, want) for l in self.layers):
-            raise ValueError(f"{self.mode} model requires a non-empty stack of {want.__name__}")
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if nxt.input_dim != prev.hidden_dim:
-                raise ValueError("layer input_dim must equal previous hidden_dim")
-        if self.w_o.shape != (self.layers[-1].hidden_dim,) or self.b_o.shape != (1,):
-            raise ValueError("readout shapes inconsistent with final layer")
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].input_dim
-
-    def param_items(self) -> list[tuple[str, np.ndarray]]:
-        items = [(f"layer{k}.{n}", a) for k, layer in enumerate(self.layers)
-                 for n, a in layer.param_items()]
-        return items + [("head.w_o", self.w_o), ("head.b_o", self.b_o)]
-
-    def param_arrays(self) -> list[np.ndarray]:
-        return [a for _, a in self.param_items()]
-
-    def n_params(self) -> int:
-        return sum(a.size for a in self.param_arrays())
-
-
 def param_shapes(
     n_features: int, hidden_dim: int, n_layers: int, mode: str
 ) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of each array of an init_params model, in payload order."""
+    """(name, shape) of each array of a model, in payload order."""
     if n_features < 1 or hidden_dim < 1 or n_layers < 1:
         raise ValueError("dimensions must be positive")
     if mode not in _CELLS_PER_LAYER:
@@ -233,19 +191,48 @@ def param_shapes(
     return shapes + [("head.w_o", (h,)), ("head.b_o", (1,))]
 
 
-def _carve(params: np.ndarray, shapes: list, mode: str) -> Model:
-    """The `mode` model whose arrays, shaped as `shapes` lists them in payload
-    order, are consecutive views of the vector `params`."""
-    views, end = [], 0
-    for _, shape in shapes:
-        start, end = end, end + math.prod(shape)
-        views.append(params[start:end].reshape(shape))
-    if end != params.size:
-        raise ValueError(f"parameter vector has {params.size} values, expected {end}")
-    n = len(fields(GruParams))
-    cells = [GruParams(*views[i : i + n]) for i in range(0, len(views) - 2, n)]
-    layers = cells if mode == "gru" else [BiGruLayer(*c) for c in zip(cells[::2], cells[1::2])]
-    return Model(layers, views[-2], views[-1], mode, params)
+@dataclass
+class Model:
+    """A stack of `n_layers` GRU or BiGRU layers of `hidden_dim` units over
+    `n_features` inputs, with a scalar affine readout w_o, b_o (shape (1,)).
+
+    Every array is a view of the float64 vector `params`: the arrays that
+    param_shapes lists follow each other in that order, so a vector of any
+    other length is rejected before anything is carved from it.
+    """
+
+    n_features: int
+    hidden_dim: int
+    n_layers: int
+    mode: str
+    params: np.ndarray
+    layers: list = field(init=False, repr=False)
+    w_o: np.ndarray = field(init=False, repr=False)
+    b_o: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shapes = param_shapes(self.n_features, self.hidden_dim, self.n_layers, self.mode)
+        ends = list(itertools.accumulate(math.prod(s) for _, s in shapes))
+        if np.shape(self.params) != (ends[-1],):
+            raise ValueError(f"params must be a vector of {ends[-1]} values, "
+                             f"got shape {np.shape(self.params)}")
+        views = [self.params[a:b].reshape(s) for (_, s), a, b in zip(shapes, [0] + ends, ends)]
+        self._named = [(name, v) for (name, _), v in zip(shapes, views)]
+        n = len(fields(GruParams))
+        cells = [GruParams(*views[i : i + n]) for i in range(0, len(views) - 2, n)]
+        self.layers = (cells if self.mode == "gru"
+                       else [BiGruLayer(*c) for c in zip(cells[::2], cells[1::2])])
+        self.w_o, self.b_o = views[-2:]
+
+    def param_items(self) -> list[tuple[str, np.ndarray]]:
+        """(name, array) of each array in payload order, named by param_shapes."""
+        return list(self._named)
+
+    def param_arrays(self) -> list[np.ndarray]:
+        return [a for _, a in self._named]
+
+    def n_params(self) -> int:
+        return self.params.size
 
 
 def init_params(
@@ -254,13 +241,11 @@ def init_params(
     """Deterministically initialise a model: weights uniform(-k, k) with
     k = 1/sqrt(hidden_dim), drawn array by array in payload order, biases zero."""
     shapes = param_shapes(n_features, hidden_dim, n_layers, mode)
-    model = _carve(np.zeros(sum(math.prod(s) for _, s in shapes)), shapes, mode)
     rng = np.random.default_rng(int(seed))
     k = 1.0 / np.sqrt(hidden_dim)
-    for name, arr in model.param_items():
-        if not name.rsplit(".", 1)[1].startswith("b_"):
-            arr[...] = rng.uniform(-k, k, size=arr.shape)
-    return model
+    params = [np.zeros(math.prod(s)) if name.rsplit(".", 1)[1].startswith("b_")
+              else rng.uniform(-k, k, size=s).ravel() for name, s in shapes]
+    return Model(n_features, hidden_dim, n_layers, mode, np.concatenate(params))
 
 
 @dataclass
@@ -358,7 +343,7 @@ def _layer_buffers(layer: GruParams | BiGruLayer, W: int, B: int, take: Take) ->
 def _forward_buffers(model: Model, W: int, B: int, take: Take) -> tuple:
     """Every array a forward pass over B windows of W steps fills: the
     time-major input, each layer's _layer_buffers and the predictions."""
-    return (take((W, B, model.input_dim)),
+    return (take((W, B, model.n_features)),
             [_layer_buffers(layer, W, B, take) for layer in model.layers],
             take((B,)))
 
@@ -375,7 +360,7 @@ def _backward_buffers(model: Model, W: int, B: int, take: Take) -> tuple:
             return take((B, H)), take((2, B, H)), None, None
         return take((B, H)), take((2, B, H)), take((n, I)), take((n, I))
 
-    return (take((model.n_params(),)), take((W, B, model.layers[-1].hidden_dim)),
+    return (take((model.n_params(),)), take((W, B, model.hidden_dim)),
             [[cell(layer, k > 0) for _ in _cells(layer)] for k, layer in enumerate(model.layers)])
 
 
@@ -496,9 +481,9 @@ bigru_forward = gru_forward
 def _windows(model: Model, X: np.ndarray) -> np.ndarray:
     """X as float64 windows [B, W, n_features] of this model."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 3 or X.shape[2] != model.input_dim:
+    if X.ndim != 3 or X.shape[2] != model.n_features:
         raise ValueError(
-            f"expected windows [B, W, {model.input_dim}], got shape {X.shape}"
+            f"expected windows [B, W, {model.n_features}], got shape {X.shape}"
         )
     return X
 
@@ -546,7 +531,7 @@ def backward_batch(
         raise ValueError("cache batch size does not match gradient batch size")
     W, B = cache.layers[-1][0].seq.shape[:2]
     flat, d_seq, layer_buffers = _backward_buffers(model, W, B, cache.take)
-    grads = _carve(flat, [(n, a.shape) for n, a in model.param_items()], model.mode)
+    grads = replace(model, params=flat)
     np.matmul(cache.last_hidden.T, d_pred, out=grads.w_o)
     grads.b_o[0] = d_pred.sum()
     d_seq.fill(0.0)
@@ -595,7 +580,7 @@ class TileRunner:
     """
 
     def __init__(self, model: Model, steps: int):
-        self._rows = -(-_TILE_ELEMENTS // max(layer.hidden_dim for layer in model.layers))
+        self._rows = -(-_TILE_ELEMENTS // model.hidden_dim)
         self.workspaces = [Workspace(model, steps, self._rows) for _ in range(2)]
 
     def tiles(self, B: int) -> list[tuple[int, int]]:

@@ -17,7 +17,7 @@ import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from multiprocessing import get_context
 from pathlib import Path
@@ -39,8 +39,8 @@ from .dataset import (
     write_rows,
 )
 from .metrics import MetricsReport, evaluate
-from .rnn import (Model, TileRunner, _carve, backward_batch, forward_batch, init_params,
-                  param_shapes, predict_batch)
+from .rnn import (Model, TileRunner, backward_batch, forward_batch, init_params, param_shapes,
+                  predict_batch)
 
 log = logging.getLogger(__name__)
 
@@ -203,7 +203,8 @@ class Checkpoint:
 
     def to_model(self) -> Model:
         """The model whose arrays view a copy of params."""
-        return _carve(self.params.copy(), self.shapes, self.config.mode)
+        c = self.config
+        return Model(self.n_features, c.hidden_dim, c.layers, c.mode, self.params.copy())
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         return predict_batch(self.to_model(), windows)
@@ -323,7 +324,6 @@ def train(
             f"{want}, train {ws_train.windows.shape[1:]}, eval {ws_eval.windows.shape[1:]}"
         )
     model = init_params(n_features, cfg.hidden_dim, cfg.layers, cfg.mode, cfg.seed)
-    shapes = param_shapes(n_features, cfg.hidden_dim, cfg.layers, cfg.mode)
     m1, m2 = np.zeros_like(model.params), np.zeros_like(model.params)
 
     X = ws_train.windows
@@ -369,7 +369,7 @@ def train(
         if grads is not None:
             if cfg.grad_clip is not None:
                 # per-array sums added in Python: one whole-vector sum rounds differently
-                views = _carve(grads, shapes, cfg.mode).param_arrays()
+                views = replace(model, params=grads).param_arrays()
                 norm = float(np.sqrt(sum(float((g * g).sum()) for g in views)))
                 if norm > cfg.grad_clip:
                     grads *= cfg.grad_clip / norm

@@ -1,4 +1,5 @@
 import mmap
+import re
 import threading
 import tracemalloc
 import weakref
@@ -594,13 +595,16 @@ class TestInitParams:
             init_params(3, 4, 1, "lstm", seed=0)
         with pytest.raises(ValueError, match="positive"):
             init_params(0, 4, 1, "gru", seed=0)
-        with pytest.raises(ValueError, match="input_dim"):
-            Model(
-                layers=[GruParams.zeros(3, 4), GruParams.zeros(3, 4)],
-                w_o=np.zeros(4),
-                b_o=np.zeros(1),
-                mode="gru",
-            )
+        with pytest.raises(ValueError, match="unknown mode 'lstm'"):
+            Model(3, 4, 1, "lstm", np.zeros(97))
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            Model(3, 4, 0, "gru", np.zeros(97))
+        n = init_params(3, 4, 2, "bigru", seed=0).n_params()
+        for shape in [(0,), (n - 1,), (n + 1,), (n, 1)]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"params must be a vector of {n} values, got shape {shape}")):
+                Model(3, 4, 2, "bigru", np.zeros(shape))
+        assert Model(3, 4, 2, "bigru", np.zeros(n)).n_params() == n
 
     def test_param_count(self):
         model = init_params(3, 4, 1, "gru", seed=0)
