@@ -162,6 +162,8 @@ def cmd_tune(args: argparse.Namespace) -> Manifest:
     if args.grad_clip is not None and not args.grad_clip > 0:
         raise ValueError(f"--grad-clip must be positive, got {args.grad_clip!r}")
     ds = load_csv(args.input)
+    if ds.n_features < 1:
+        raise ValueError(f"{args.input}: no feature column; tune needs at least 1")
     # training needs one window; the held-out metrics need two
     parts = zip(("training", "held-out"), split_chronological(ds, args.split), (1, 2))
     for part, rows, need in parts:

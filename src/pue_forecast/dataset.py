@@ -10,6 +10,7 @@ The report CSV writer and the JSON reader the other modules share live here too.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
@@ -118,9 +119,10 @@ class NormalizationParams:
 
     def __post_init__(self):
         names = self.feature_names
-        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+        if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)
                 and len(set(names)) == len(names)):
-            raise ValueError(f"feature_names must be a list of distinct strings, got {names!r}")
+            raise ValueError(
+                f"feature_names must be a list of distinct strings, one or more, got {names!r}")
         for name in ("feature_min", "feature_max"):
             values = np.asarray(getattr(self, name))
             if (values.dtype.kind not in "iuf" or values.shape != (len(names),)
@@ -178,8 +180,9 @@ def load_csv(path: str | Path) -> Dataset:
 
     The PUE column becomes the target vector, the timestamp column the
     timestamp list, and the remaining columns the feature matrix with their
-    file order preserved. Malformed content raises CsvFormatError citing the
-    1-based data row and the column name.
+    file order preserved. Blank lines are skipped but keep their row numbers.
+    Malformed content raises CsvFormatError citing the 1-based data row and
+    the column name.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -206,6 +209,8 @@ def load_csv(path: str | Path) -> Dataset:
         targets: list[float] = []
         prev_ts = None
         for r, cells in enumerate(reader, start=1):
+            if not cells:  # a blank line: skipped, but counted in the row numbers
+                continue
             if len(cells) != len(header):
                 raise CsvFormatError(
                     f"{path}: row {r}: expected {len(header)} cells, got {len(cells)}"
@@ -351,17 +356,20 @@ def generate_synthetic(
     k = n_informative
     t = np.arange(n_samples, dtype=np.float64)
 
-    # One period per driver: prime step counts (3h to 10h cycles), pairwise
-    # incommensurate so no channel's oscillation is a harmonic of another's,
-    # plus a bounded autoregressive component for aperiodic wander.
-    periods = [53.0, 37.0, 29.0, 43.0, 23.0, 61.0, 31.0, 47.0]
+    # One period per driver: distinct prime step counts (3h to 10h cycles for
+    # the first eight, then the primes from 67 up), so no channel's oscillation
+    # is a harmonic of another's, plus a bounded autoregressive component for
+    # aperiodic wander.
+    periods = [53, 37, 29, 43, 23, 61, 31, 47]
+    primes = (p for p in itertools.count(67, 2)
+              if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
+    periods += itertools.islice(primes, max(0, k - len(periods)))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
     ar_innov = rng.standard_normal((k, n_samples))
     drivers = np.empty((k, n_samples))
     for i in range(k):
         ar = _recur(ar_innov[i], 0.92, 0.40, 0.0)
-        period = periods[i % len(periods)]
-        drivers[i] = 1.0 * np.sin(2.0 * np.pi * t / period + phases[i]) + 0.35 * np.tanh(
+        drivers[i] = 1.0 * np.sin(2.0 * np.pi * t / periods[i] + phases[i]) + 0.35 * np.tanh(
             ar / 1.6
         )
 
@@ -378,20 +386,14 @@ def generate_synthetic(
     facility_power = it_power + it_power * overhead_frac
     y = facility_power / it_power
 
+    # channel 0 is IT power; channel i > 0 reads offset + scale * driver i
+    offsets = np.array([46.0, 27.5, 68.0, 2300.0, 61.0, 7.5, 24.5] + [50.0] * k)[: k - 1]
+    scales = np.array([23.0, 4.8, 9.0, 506.0, 14.0, 1.9, 2.4] + [20.0] * k)[: k - 1]
     columns = np.empty((n_samples, k + n_noise))
-    names: list[str] = []
-    base_offsets = [None, 46.0, 27.5, 68.0, 2300.0, 61.0, 7.5, 24.5]
-    base_scales = [None, 23.0, 4.8, 9.0, 506.0, 14.0, 1.9, 2.4]
-    for i in range(k):
-        if i == 0:
-            columns[:, 0] = it_power
-        elif i < len(_INFORMATIVE_NAMES):
-            columns[:, i] = base_offsets[i] + base_scales[i] * drivers[i]
-        else:
-            columns[:, i] = 50.0 + 20.0 * drivers[i]
-        names.append(
-            _INFORMATIVE_NAMES[i] if i < len(_INFORMATIVE_NAMES) else f"facility_driver_{i:02d}"
-        )
+    columns[:, 0] = it_power
+    columns[:, 1:k] = (offsets[:, None] + scales[:, None] * drivers[1:]).T
+    names = _INFORMATIVE_NAMES[:k] + [
+        f"facility_driver_{i:02d}" for i in range(len(_INFORMATIVE_NAMES), k)]
 
     noise_innov = rng.standard_normal((n_noise, n_samples))
     noise_offsets = rng.uniform(5.0, 95.0, size=n_noise)

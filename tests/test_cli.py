@@ -274,6 +274,18 @@ class TestTune:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "tune").exists()
 
+    def test_a_csv_without_feature_columns_is_named(self, small_csv, tmp_path, capsys):
+        ds = load_csv(small_csv)
+        bare = tmp_path / "bare.csv"
+        bare.write_text("timestamp,PUE\n" + "".join(
+            f"{t},{y!r}\n" for t, y in zip(ds.timestamps[:80], ds.y.tolist())))
+        code = run_cli("tune", "-i", str(bare), "-o", str(tmp_path / "tune"),
+                       "--mode", "gru", "--layers", "1", "--hidden", "2", "--lr", "0.02",
+                       "--window", "3", "--max-epochs", "2", "--eval-every", "2")
+        assert code == 1
+        assert f"{bare}: no feature column; tune needs at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "tune").exists()
+
     def test_all_configs_failed_is_an_error(self, small_csv, tmp_path, capsys):
         # a step of 1e300 overflows the next forward pass, so training diverges
         code = run_cli(
@@ -423,6 +435,20 @@ class TestPredict:
         assert code == 1
         assert (f"{path}: field 'config': seed must be non-negative, got -3"
                 in capsys.readouterr().err)
+
+    def test_checkpoint_without_input_columns_names_file_and_field(
+            self, small_csv, tmp_path, capsys):
+        doc = json.loads(self._tune(small_csv, tmp_path).read_text())
+        doc.update(feature_names=[], n_features=0)
+        doc["normalization"].update(feature_names=[], feature_min=[], feature_max=[])
+        path = tmp_path / "none.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli("predict", "-c", str(path), "-i", str(small_csv),
+                       "-o", str(tmp_path / "p.csv"))
+        assert code == 1
+        assert (f"{path}: field 'normalization': feature_names must be a list of distinct "
+                "strings, one or more, got []") in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
     def test_checkpoint_not_an_object_or_not_json(self, small_csv, tmp_path, capsys):
         for name, text in (("list", "[1, 2]"), ("broken", '{"format_version": 1,')):

@@ -113,6 +113,26 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="empty"):
             load_csv(_write(tmp_path, ""))
 
+    @pytest.mark.parametrize("text", [
+        CSV_3ROWS + "\n",
+        CSV_3ROWS.replace("1.2\n", "1.2\n\n\n"),
+    ], ids=["trailing", "mid_file"])
+    def test_blank_lines_are_skipped(self, tmp_path, text):
+        ds = load_csv(_write(tmp_path, text))
+        assert ds.n_samples == 3
+        assert np.array_equal(ds.y, [1.2, 1.3, 1.4])
+
+    def test_rows_after_a_blank_line_keep_their_file_numbers(self, tmp_path):
+        text = CSV_3ROWS.replace("1.2\n", "1.2\n\n").replace("30.0", "x")
+        path = _write(tmp_path, text)
+        with pytest.raises(CsvFormatError, match=re.escape(f"{path}: row 4, column 'f2'")):
+            load_csv(path)
+
+    def test_header_and_blank_lines_only(self, tmp_path):
+        path = _write(tmp_path, "timestamp,f1,PUE\n\n\n")
+        with pytest.raises(CsvFormatError, match=re.escape(f"{path}: no data rows")):
+            load_csv(path)
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # spreadsheet tools save UTF-8 CSVs with a leading byte-order mark
         path = tmp_path / "bom.csv"
@@ -222,6 +242,15 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             generate_synthetic(10, 3, 0, seed=-1)
 
+    def test_every_driver_has_its_own_period(self):
+        """The strongest oscillation of each informative channel (the peak of
+        its spectrum) sits at a different frequency, past the eighth too."""
+        ds = generate_synthetic(6000, 12, 0, seed=1)
+        spectra = np.abs(np.fft.rfft(ds.X - ds.X.mean(axis=0), axis=0))[1:]
+        peaks = 1 + spectra.argmax(axis=0)
+        assert 6000 / peaks[0] == pytest.approx(53, abs=0.5)
+        assert len(set(peaks.tolist())) == 12
+
     def test_informative_channels_outcorrelate_noise(self):
         # Pearson correlation computed directly on the generated output
         ds = generate_synthetic(2000, 5, 15, seed=7)
@@ -285,9 +314,11 @@ class TestNormalization:
     @pytest.mark.parametrize("names, lo, hi, message", [
         (["a", "a"], np.zeros(2), np.ones(2), "feature_names must be a list of distinct strings"),
         (["a", 1], np.zeros(2), np.ones(2), "feature_names must be a list of distinct strings"),
+        ([], np.zeros(0), np.ones(0),
+         "feature_names must be a list of distinct strings, one or more, got []"),
         (["a", "b"], np.zeros(3), np.ones(1), "feature_min must hold 2 finite numbers"),
         (["a", "b"], np.zeros(2), np.ones(1), "feature_max must hold 2 finite numbers"),
-    ], ids=["repeated", "not_a_string", "min_length", "max_length"])
+    ], ids=["repeated", "not_a_string", "empty", "min_length", "max_length"])
     def test_params_hold_one_bound_per_distinct_name(self, names, lo, hi, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             NormalizationParams(names, lo, hi, 0.0, 1.0)
