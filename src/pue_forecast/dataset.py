@@ -386,7 +386,8 @@ def generate_synthetic(
     facility_power = it_power + it_power * overhead_frac
     y = facility_power / it_power
 
-    # channel 0 is IT power; channel i > 0 reads offset + scale * driver i
+    # channel 0 is IT power; channel i > 0 reads offset + scale * driver i,
+    # 50 + 20 * driver i past the named channels
     offsets = np.array([46.0, 27.5, 68.0, 2300.0, 61.0, 7.5, 24.5] + [50.0] * k)[: k - 1]
     scales = np.array([23.0, 4.8, 9.0, 506.0, 14.0, 1.9, 2.4] + [20.0] * k)[: k - 1]
     columns = np.empty((n_samples, k + n_noise))
