@@ -54,32 +54,29 @@ from .tuning import (
 log = logging.getLogger(__name__)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
-    return value
+def _ranged(convert, ok, reason: str):
+    """An argparse type: `convert` the flag's text, then reject a value that
+    fails `ok` as "<text> <reason>", which argparse prefixes with the flag."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} {reason}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid int value: 'x'"
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is negative")
-    return value
-
-
-def _fold_count(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"{value} is fewer than 2 folds")
-    return value
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"{value} is not in (0, 1)")
-    return value
+_positive_int = _ranged(int, lambda v: v >= 1, "is not a positive integer")
+_non_negative_int = _ranged(int, lambda v: v >= 0, "is negative")
+_fold_count = _ranged(int, lambda v: v >= 2, "is fewer than 2 folds")
+_fraction = _ranged(float, lambda v: 0.0 < v < 1.0, "is not in (0, 1)")
+_channel_count = _ranged(int, lambda v: v >= 3, "is fewer than the 3 channels of IT "
+                         "power, cooling power and outdoor temperature")
+_boost_lr = _ranged(float, lambda v: math.isfinite(v) and v > 0,
+                    "is not a finite learning rate above 0")
+_adam_lr = _ranged(float, lambda v: math.isfinite(v) and v >= 0,
+                   "is not a finite learning rate of at least 0")
+_clip_norm = _ranged(float, lambda v: v > 0, "is not above 0")  # inf: never clip; nan fails
 
 
 def _setup_logging() -> None:
@@ -97,22 +94,15 @@ Manifest = tuple[Path, list[str], list[str]]  # (manifest path, inputs, outputs)
 
 
 def cmd_generate(args: argparse.Namespace) -> Manifest:
-    if args.informative < 3:
-        raise ValueError(f"--informative {args.informative} is fewer than the 3 channels "
-                         "of IT power, cooling power and outdoor temperature")
     ds = generate_synthetic(args.samples, args.informative, args.noise, args.seed)
     out = Path(args.output)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(ds, out)
     log.info("wrote %d samples x %d features to %s", ds.n_samples, ds.n_features, out)
     return Path(str(out) + ".manifest.json"), [], [str(out)]
 
 
 def cmd_select_features(args: argparse.Namespace) -> Manifest:
-    bad = [lr for lr in args.lr if not (math.isfinite(lr) and lr > 0)]
-    if bad:
-        raise ValueError(f"--lr: learning_rate must be finite and positive, got {bad[0]!r}")
     ds = load_csv(args.input)
     if ds.n_features < 2:
         raise ValueError(f"{args.input}: {ds.n_features} feature column(s); "
@@ -154,13 +144,8 @@ def _require_columns(ds: Dataset, path: str, names: list[str], user: str) -> Non
 
 
 def cmd_tune(args: argparse.Namespace) -> Manifest:
-    bad = [lr for lr in args.lr if not (math.isfinite(lr) and lr >= 0)]
-    if bad:
-        raise ValueError(f"--lr: learning_rate must be finite and non-negative, got {bad[0]!r}")
     if args.eval_every > args.max_epochs:
         raise ValueError(f"--eval-every {args.eval_every} exceeds --max-epochs {args.max_epochs}")
-    if args.grad_clip is not None and not args.grad_clip > 0:
-        raise ValueError(f"--grad-clip must be positive, got {args.grad_clip!r}")
     ds = load_csv(args.input)
     if ds.n_features < 1:
         raise ValueError(f"{args.input}: no feature column; tune needs at least 1")
@@ -241,6 +226,7 @@ def cmd_predict(args: argparse.Namespace) -> Manifest:
     ws = window(nds, W)
     preds = denormalize_target(ckpt.predict(ws.windows), ckpt.normalization)
     out = Path(args.output)
+    out.parent.mkdir(parents=True, exist_ok=True)
     header = [TIMESTAMP_COLUMN, f"predicted_{TARGET_COLUMN}"]
     write_rows(out, header, zip(nds.timestamps[W - 1 :], preds.tolist()))
     log.info("wrote %d predictions to %s", ws.n_windows, out)
@@ -258,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write synthetic telemetry CSV")
     p.add_argument("--samples", "-n", type=_positive_int, default=5000)
-    p.add_argument("--informative", type=_positive_int, default=8)
+    p.add_argument("--informative", type=_channel_count, default=8)
     p.add_argument("--noise", type=_non_negative_int, default=24)
     p.add_argument("--seed", type=_non_negative_int, default=1)
     p.add_argument("--output", "-o", required=True)
@@ -279,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--fit-on-all", action="store_true",
                    help="fit the normalizer on all rows instead of the training split")
-    p.add_argument("--lr", type=float, nargs="+", default=list(DEFAULT_LR_GRID))
+    p.add_argument("--lr", type=_boost_lr, nargs="+", default=list(DEFAULT_LR_GRID))
     p.add_argument("--trees", type=_positive_int, nargs="+",
                    default=list(DEFAULT_N_ESTIMATORS_GRID))
     p.add_argument("--depth", type=_positive_int, nargs="+",
@@ -295,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=list(DEFAULT_LAYERS_GRID))
     p.add_argument("--hidden", type=_positive_int, nargs="+",
                    default=list(DEFAULT_HIDDEN_GRID))
-    p.add_argument("--lr", type=float, nargs="+", default=list(DEFAULT_TUNE_LR_GRID))
+    p.add_argument("--lr", type=_adam_lr, nargs="+", default=list(DEFAULT_TUNE_LR_GRID))
     p.add_argument("--window", type=_positive_int, default=6)
     p.add_argument("--split", type=_fraction, default=0.8)
     p.add_argument("--max-epochs", type=_positive_int, default=4000)
@@ -308,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-on-train-loss", action="store_true",
                    help="checkpoint on training loss improvements (per epoch) "
                    "instead of held-out MSE at evaluation points")
-    p.add_argument("--grad-clip", type=float, default=None,
+    p.add_argument("--grad-clip", type=_clip_norm, default=None,
                    help="global L2 gradient clipping threshold")
     p.add_argument("--output-dir", "-o", default="tune_out")
     p.set_defaults(func=cmd_tune)

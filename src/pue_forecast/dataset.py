@@ -186,7 +186,7 @@ def load_csv(path: str | Path) -> Dataset:
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(path, fh))
         try:
             header = next(reader)
         except StopIteration:
@@ -261,6 +261,31 @@ def load_csv(path: str | Path) -> Dataset:
     return Dataset(feature_names, timestamps, X, np.asarray(targets))
 
 
+def _utf8_lines(path: Path, fh):
+    """The lines of the text file `fh` opened from `path`; a byte that is not
+    UTF-8 raises CsvFormatError naming its row (the header is row 0)."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        # fh decodes in chunks, so the error's offset is not the file's
+        line, why = _not_utf8(path)
+        raise CsvFormatError(f"{path}: {f'row {line}' if line else 'header row'}: "
+                             f"{why}") from None
+
+
+def _not_utf8(path: Path) -> tuple[int, str]:
+    """The 0-based line of the first byte of the file at `path` that is not
+    UTF-8, a line ending at LF, CR or CR LF as in the csv reader, and a
+    description of that byte."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return (len(data[: exc.start + 1].splitlines()) - 1,
+                f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})")
+    raise ValueError(f"{path}: changed while it was read")
+
+
 def write_csv(ds: Dataset, path: str | Path) -> None:
     """Write a Dataset in the generator's column layout (timestamp first, PUE last)."""
     rows = ([ds.timestamps[i]] + [repr(v) for v in ds.X[i].tolist()] + [repr(float(ds.y[i]))]
@@ -278,9 +303,15 @@ def write_rows(path: str | Path, header: list[str], rows) -> None:
 
 def read_json(path: str | Path):
     """Parse a JSON file; undecodable content raises ValueError naming the file."""
+    path = Path(path)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        line, why = _not_utf8(path)
+        raise ValueError(f"{path}: not valid JSON: line {line + 1}: {why}") from None
+    try:
+        return json.loads(text)
+    except ValueError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 

@@ -231,10 +231,10 @@ class Checkpoint:
         naming the file and the field."""
         doc = read_json(path)
         require_fields(path, doc, _CHECKPOINT_FIELDS)
-        if doc["format_version"] != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported checkpoint format version {doc['format_version']!r}"
-            )
+        version = doc["format_version"]
+        if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(f"{path}: field 'format_version' must be the int "
+                             f"{CHECKPOINT_FORMAT_VERSION}, got {version!r}")
         norm, metrics = doc["normalization"], doc["metrics"]
         require_fields(path, norm, _NORMALIZATION_FIELDS, "field 'normalization'")
         require_fields(path, metrics, ("mse", "mae", "r2"), "field 'metrics'")

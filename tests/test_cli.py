@@ -46,9 +46,11 @@ class TestGenerate:
         assert header[0] == "timestamp" and header[-1] == "PUE"
 
     def test_too_few_informative_channels_names_the_flag(self, tmp_path, capsys):
-        assert run_cli("generate", "--informative", "2", "-o", str(tmp_path / "x.csv")) == 1
-        assert ("--informative 2 is fewer than the 3 channels of IT power, cooling power "
-                "and outdoor temperature") in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli("generate", "--informative", "2", "-o", str(tmp_path / "x.csv"))
+        assert exc.value.code == 2
+        assert ("argument --informative: 2 is fewer than the 3 channels of IT power, "
+                "cooling power and outdoor temperature") in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_channels_past_the_eighth_are_facility_drivers(self, tmp_path):
@@ -75,13 +77,52 @@ class TestGenerate:
         assert doc["duration_seconds"] >= 0
 
 
-@pytest.mark.parametrize("command", ["generate", "select-features", "tune"])
-def test_negative_seed_is_a_usage_error_naming_the_flag(tmp_path, capsys, command):
+OUT_OF_RANGE = [
+    ("generate", "--samples", "0"),
+    ("generate", "--informative", "0"),
+    ("generate", "--noise", "-1"),
+    ("generate", "--seed", "-1"),
+    ("select-features", "--seed", "-1"),
+    ("tune", "--seed", "-1"),
+    ("select-features", "--top-k", "0"),
+    ("select-features", "--step", "0"),
+    ("select-features", "--folds", "1"),
+    ("select-features", "--split", "1"),
+    ("select-features", "--workers", "0"),
+    ("select-features", "--trees", "0"),
+    ("select-features", "--depth", "0"),
+    ("select-features", "--lr", "0"),
+    ("select-features", "--lr", "-1"),
+    ("select-features", "--lr", "inf"),
+    ("tune", "--layers", "0"),
+    ("tune", "--hidden", "0"),
+    ("tune", "--lr", "-1"),
+    ("tune", "--lr", "nan"),
+    ("tune", "--lr", "inf"),
+    ("tune", "--window", "0"),
+    ("tune", "--max-epochs", "0"),
+    ("tune", "--eval-every", "0"),
+    ("tune", "--grad-clip", "0"),
+    ("tune", "--grad-clip", "-1"),
+    ("tune", "--grad-clip", "nan"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", OUT_OF_RANGE,
+                         ids=[f"{c}{f}={v}" for c, f, v in OUT_OF_RANGE])
+def test_a_value_out_of_its_flag_range_is_a_usage_error(small_csv, tmp_path, capsys,
+                                                         command, flag, value):
+    """argparse rejects the value, naming flag and value, before any file is read
+    or written."""
+    before = set(tmp_path.rglob("*"))
+    io = ["-o", str(tmp_path / "out.csv")] if command == "generate" else [
+        "-i", str(small_csv), "-o", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
-        run_cli(command, "-i" if command != "generate" else "-o", str(tmp_path / "d.csv"),
-                "--seed", "-1")
+        run_cli(command, *io, flag, value)
     assert exc.value.code == 2
-    assert "argument --seed: -1 is negative" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert re.search(rf"argument {flag}(/-\w)?: {re.escape(value)} ", err), err
+    assert set(tmp_path.rglob("*")) == before
 
 
 class TestCsvErrors:
@@ -132,17 +173,18 @@ class TestSelectFeatures:
 
     def test_non_finite_learning_rate_is_an_error(self, small_csv, tmp_path, capsys):
         outdir = tmp_path / "sel"
-        code = run_cli("select-features", "-i", str(small_csv), "-o", str(outdir),
-                       "--lr", "nan", "--trees", "3", "--depth", "2", "--folds", "3")
-        assert code == 1
-        assert "learning_rate" in capsys.readouterr().err
-        assert not (outdir / "feature_sets.json").exists()
+        with pytest.raises(SystemExit) as exc:
+            run_cli("select-features", "-i", str(small_csv), "-o", str(outdir),
+                    "--lr", "nan", "--trees", "3", "--depth", "2", "--folds", "3")
+        assert exc.value.code == 2
+        assert ("argument --lr: nan is not a finite learning rate above 0"
+                in capsys.readouterr().err)
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--folds", "200"],
          "--folds 200 exceeds the 96 training rows that --split 0.8 leaves of 120 rows"),
-        (["--lr", "-1"], "--lr: learning_rate must be finite and positive, got -1.0"),
-    ], ids=["folds", "lr"])
+    ], ids=["folds"])
     def test_flag_errors_name_the_flag(self, small_csv, tmp_path, capsys, flags, message):
         code = run_cli("select-features", "-i", str(small_csv), "-o", str(tmp_path / "sel"),
                        "--lr", "0.1", "--trees", "3", "--depth", "2", *flags)
@@ -260,12 +302,7 @@ class TestTune:
          "--split 0.995 leaves the held-out partition 1 of 120 rows, too few to cut 2 "
          "windows of any --window length"),
         (["--eval-every", "5"], "--eval-every 5 exceeds --max-epochs 2"),
-        (["--lr", "nan"], "--lr: learning_rate must be finite and non-negative, got nan"),
-        (["--grad-clip", "0"], "--grad-clip must be positive, got 0.0"),
-        (["--grad-clip", "-1"], "--grad-clip must be positive, got -1.0"),
-        (["--grad-clip", "nan"], "--grad-clip must be positive, got nan"),
-    ], ids=["window", "window_one_held_out", "window_training", "split", "eval_every", "lr",
-            "grad_clip_0", "grad_clip_-1", "grad_clip_nan"])
+    ], ids=["window", "window_one_held_out", "window_training", "split", "eval_every"])
     def test_flag_errors_name_the_flag(self, small_csv, tmp_path, capsys, flags, message):
         code = run_cli("tune", "-i", str(small_csv), "-o", str(tmp_path / "tune"),
                        "--mode", "gru", "--layers", "1", "--hidden", "2", "--lr", "0.02",
@@ -273,6 +310,14 @@ class TestTune:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "tune").exists()
+
+    def test_learning_rate_0_and_an_infinite_clip_run(self, small_csv, tmp_path):
+        outdir = tmp_path / "tune"
+        assert run_cli("tune", "-i", str(small_csv), "-o", str(outdir), "--mode", "gru",
+                       "--layers", "1", "--hidden", "2", "--lr", "0", "--window", "3",
+                       "--max-epochs", "2", "--eval-every", "2", "--grad-clip", "inf") == 0
+        flags = json.loads((outdir / "manifest.json").read_text())["flags"]
+        assert (flags["lr"], flags["grad_clip"]) == ([0.0], float("inf"))
 
     def test_a_csv_without_feature_columns_is_named(self, small_csv, tmp_path, capsys):
         ds = load_csv(small_csv)
@@ -460,6 +505,12 @@ class TestPredict:
             assert code == 1
             assert f"{path}: " in err
             assert ("expected a JSON object" if name == "list" else "not valid JSON") in err
+
+    def test_missing_output_directories_are_made(self, tmp_path):
+        out = tmp_path / "a" / "b" / "p.csv"
+        assert run_cli("predict", "-c", str(DATA / "compat_gru_l1_h2.json"),
+                       "-i", str(DATA / "compat.csv"), "-o", str(out)) == 0
+        assert out.read_bytes() == (DATA / "compat_gru_l1_h2_predict.csv").read_bytes()
 
     def test_input_shorter_than_window(self, small_csv, tmp_path, capsys):
         ckpt = self._tune(small_csv, tmp_path)

@@ -133,6 +133,18 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match=re.escape(f"{path}: no data rows")):
             load_csv(path)
 
+    @pytest.mark.parametrize("line, where, end", [
+        (0, "header row", b"\n"), (3, "row 3", b"\n"), (3, "row 3", b"\r"),
+    ], ids=["header", "data_row", "data_row_cr_line_ends"])
+    def test_byte_that_is_not_utf8_names_file_and_row(self, tmp_path, line, where, end):
+        lines = CSV_3ROWS.encode().split(b"\n")
+        lines[line] += b"\xe9"  # Latin-1 for "e" with an acute accent
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(end.join(lines))
+        message = f"{path}: {where}: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+        with pytest.raises(CsvFormatError, match=re.escape(message)):
+            load_csv(path)
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # spreadsheet tools save UTF-8 CSVs with a leading byte-order mark
         path = tmp_path / "bom.csv"

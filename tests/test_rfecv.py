@@ -429,6 +429,13 @@ class TestLoadFeatureSets:
         with pytest.raises(ValueError, match=re.escape(f"{path}: not valid JSON")):
             load_feature_sets(path)
 
+    def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "sets.json"
+        path.write_bytes(b'[{"selected_features":\n ["caf\xe9"]}]')
+        message = f"{path}: not valid JSON: line 2: byte 0xe9 is not UTF-8"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_feature_sets(path)
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "sets.json"
         path.write_text(json.dumps([{"selected_features": ["a", "b"]}]), encoding="utf-8-sig")

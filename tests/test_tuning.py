@@ -327,10 +327,11 @@ class TestCheckpointPersistence:
         ckpt, _ = train(ws_tr, ws_te, cfg, norm)
         path = tmp_path / "ckpt.json"
         ckpt.save(path)
-        doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
-        path.write_text(doc)
-        with pytest.raises(ValueError, match="version"):
-            Checkpoint.load(path)
+        text = path.read_text()
+        for version in ("99", "true", "1.0"):
+            path.write_text(text.replace('"format_version": 1', f'"format_version": {version}'))
+            with pytest.raises(ValueError, match="version"):
+                Checkpoint.load(path)
 
     def test_malformed_fields_name_file_and_field(self, tmp_path):
         ws_tr, ws_te, norm, _ = make_windowed()
