@@ -22,6 +22,16 @@ import numpy as np
 from .dataset import is_finite_number
 
 _ROUTE_CELLS = 1 << 20  # (tree, row) pairs routed at once by gbt_predict
+_MAX_CELLS = np.iinfo(np.int32).max  # flat [feature, row] offsets are int32
+
+
+def _check_cells(n_rows: int, n_features: int) -> None:
+    """Refuse a fit whose flat int32 offsets would wrap, before allocating."""
+    if n_rows * n_features > _MAX_CELLS:
+        raise ValueError(
+            f"{n_rows} rows x {n_features} features is {n_rows * n_features} cells; "
+            f"a tree build holds at most {_MAX_CELLS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -94,6 +104,7 @@ def _presort(X: np.ndarray, sizes) -> np.ndarray:
     presort of that column subset and those blocks.
     """
     n, f = X.shape
+    _check_cells(n, f)
     bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
     sort_rows = np.empty((f, n), dtype=np.int32)
     for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
@@ -123,17 +134,23 @@ class _TreeBuilder:
     new group position regroups it and keeps every group in value order.
     The key is the narrowest unsigned type that holds the group count, so up
     to 65,535 groups a level sorts by radix; past that numpy falls back to
-    timsort. Residuals and values are regathered from the layout into reused
-    buffers; a cut between two equal gathered values is no candidate, and a
-    chosen cut's threshold comes from the two values it lies between. Group
-    geometry (run starts, sizes, row-to-group map) is identical across
-    features and computed once per level. A split's right child is always
+    timsort. Residuals are regathered from the layout into a reused buffer.
+    A cut between two equal values is no candidate. The builder flags, once,
+    the feature rows where some root's presort holds two adjacent equal
+    values (`==`: -0.0 ties 0.0; equal values either side of a root
+    boundary do not). Only those tied rows gather their values through the
+    layout each level and mask the equal neighbours; every other row's
+    candidates are the positional ones. A chosen cut's threshold comes from
+    the two values it lies between, read through the layout. Group geometry
+    (run starts, sizes, row-to-group map) is identical across features and
+    computed once per level. A split's right child is always
     its left child + 1, so trees store only `left`.
     """
 
     def __init__(self, X: np.ndarray, sizes, sort_rows: np.ndarray, max_depth: int,
                  reg_lambda: float):
         n, f = X.shape
+        _check_cells(n, f)
         self.values = np.ascontiguousarray(X.T)
         self.sizes = np.asarray(sizes, dtype=np.int64)
         bounds = np.concatenate(([0], np.cumsum(self.sizes)))
@@ -153,17 +170,49 @@ class _TreeBuilder:
         den = np.arange(n + 1, dtype=np.float64) + reg_lambda
         self.inv_count = np.zeros(n + 1)
         np.divide(1.0, den, out=self.inv_count, where=den > 0.0)
-        # reusable level scratch
+        # feature rows with a tie in some root, scanned one row at a time;
+        # comparison p is position p against p + 1
+        straddle = bounds[1:-1] - 1  # the pairs across a root boundary
+        tied = np.zeros(f, dtype=bool)
+        for c in range(f):
+            v = self.values[c].take(sort_rows[c])
+            eq = v[1:] == v[:-1]
+            eq[straddle] = False
+            tied[c] = eq.any()
+        self.tied = np.flatnonzero(tied)
+        # reusable level scratch; the tied rows' only when some row is tied
         self._cums = np.empty((f, n))
         self._gain = np.empty((f, n))
-        self._offset = np.empty((f, n), dtype=np.int32)
-        self._vals = np.empty((f, n))
-        self._valid = np.empty((f, n), dtype=bool)
+        if self.tied.size:
+            t = self.tied.size
+            self._tied_off = self.rowoff[self.tied]
+            self._offset = np.empty((t, n), dtype=np.int32)
+            self._vals = np.empty((t, n))
+            self._valid = np.empty((t, n), dtype=bool)
+            if t < f:
+                self._mask = np.empty((f, n), dtype=bool)
         # root r numbers its nodes from first[r] in creation order, in a span
         # holding a full binary tree of max_depth clamped by its row count
         caps = [min(2 ** (max_depth + 1) - 1, max(2 * size - 1, 1)) for size in sizes]
         self.first = np.cumsum(caps) - caps
         self.node_root = np.repeat(np.arange(self.n_roots), caps)
+
+    def _tie_mask(self, perm: np.ndarray, candidate: np.ndarray) -> np.ndarray:
+        """[f, n] candidates that also clear each cut between two equal values
+        of a tied row, whose values are gathered through the layout."""
+        t, n = self.tied, self.n
+        every = t.size == self.f
+        rows = perm if every else np.take(perm, t, axis=0, out=self._offset)
+        offset = np.add(rows, self._tied_off, out=self._offset)
+        vals = np.take(self.values, offset, out=self._vals, mode="clip")
+        valid = self._valid
+        np.not_equal(vals[:, 1:], vals[:, :-1], out=valid[:, : n - 1])
+        valid &= candidate  # also clears the row's last position
+        if every:
+            return valid
+        self._mask[...] = candidate
+        self._mask[t] = valid
+        return self._mask
 
     def build(self, residual: np.ndarray) -> tuple[list[Tree], np.ndarray]:
         """Grow one tree per root on the stacked residuals.
@@ -204,8 +253,6 @@ class _TreeBuilder:
             cums = np.take(residual, perm, out=self._cums, mode="clip")
             for a, b in self.blocks:  # prefix sums restart at every root
                 np.cumsum(cums[:, a:b], axis=1, out=cums[:, a:b])
-            np.add(perm, self.rowoff, out=self._offset)
-            vals = np.take(self.values, self._offset, out=self._vals, mode="clip")
             base = cums[:, starts - 1]
             base[:, self.root_first[starts]] = 0.0
             tot = cums[:, ends] - base  # [f, m] exact per-feature segment sums
@@ -232,15 +279,12 @@ class _TreeBuilder:
             gain += rg
             del rg
             gain -= np.repeat(parent, g_counts, axis=1)
-            # a split between equal values, at a group's last position or in
-            # an inactive group is not a candidate: its gain (finite) becomes
-            # 0, which no winner (gain > 0) can tie
+            # a split at a group's last position, in an inactive group or
+            # between equal values is not a candidate: its gain (finite)
+            # becomes 0, which no winner (gain > 0) can tie
             candidate = active[gor]
             candidate &= to_end > 0
-            valid = self._valid
-            np.not_equal(vals[:, 1:], vals[:, :-1], out=valid[:, : n - 1])
-            valid &= candidate[None, :]  # also clears the row's last position
-            gain *= valid
+            gain *= self._tie_mask(perm, candidate) if self.tied.size else candidate
 
             # one reduceat over the whole [f, n] gain block: feature row c
             # occupies positions [c*n, (c+1)*n)
@@ -273,8 +317,8 @@ class _TreeBuilder:
             lg_v = left_g[cs, pos_arr]
             rg_v = tot[cs, sel] - lg_v
             feature[node_ids] = cs
-            lo = vals[cs, pos_arr]
-            hi = vals[cs, pos_arr + 1]
+            lo = self.values[cs, perm[cs, pos_arr]]
+            hi = self.values[cs, perm[cs, pos_arr + 1]]
             with np.errstate(over="ignore"):
                 mid = 0.5 * (lo + hi)
             # the midpoint, unless it rounds down to lo (adjacent floats) or

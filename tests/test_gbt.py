@@ -163,6 +163,18 @@ class TestFit:
         with pytest.raises(ValueError, match="X has no feature columns"):
             gbt_fit(np.zeros((4, 0)), np.arange(4.0), 2, 0.1, 2)
 
+    def test_a_build_past_int32_offsets_is_refused(self):
+        """Flat [feature, row] offsets are int32, so 2**31 cells or more are
+        refused, naming the shape, before anything is allocated (the inputs
+        here are zero-stride views)."""
+        n, f = 2**27, 16
+        X = np.broadcast_to(np.float64(0.0), (n, f))
+        match = f"{n} rows x {f} features is {n * f} cells"
+        with pytest.raises(ValueError, match=match):
+            _presort(X, [n])
+        with pytest.raises(ValueError, match=match):
+            _TreeBuilder(X, [n], np.broadcast_to(np.int32(0), (f, n)), 1, 1.0)
+
 
 class TestPredict:
     def test_no_trees_returns_base_score(self):
@@ -288,6 +300,25 @@ def _assert_same_model(model, ref):
     assert model.train_losses == ref.train_losses
 
 
+def _assert_cuts_split_distinct_values(tree, X):
+    """Each split's threshold is the midpoint rule of the largest value of its
+    node below it and the smallest at or above it, so no cut lies between two
+    equal values of its node."""
+    right = right_children(tree)
+    todo = [(0, np.arange(len(X)))]
+    while todo:
+        i, rows = todo.pop()
+        if tree.feature[i] < 0:
+            continue
+        x, thr = X[rows, tree.feature[i]], tree.threshold[i]
+        below = x < thr
+        assert below.any() and not below.all()
+        lo, hi = x[below].max(), x[~below].min()
+        mid = 0.5 * (lo + hi)
+        assert thr == (mid if lo < mid <= hi else hi)
+        todo += [(tree.left[i], rows[below]), (right[i], rows[~below])]
+
+
 def _greedy_nodes(node):
     """Every node of a greedy_tree, parents before children."""
     yield node
@@ -312,11 +343,14 @@ def _assert_same_as_greedy(tree, node, i=0):
 
 
 def _random_xy(rng, sizes, n_features, levels):
+    """Continuous columns, and with `levels` k a random non-empty set of
+    k-level columns (ties) among them, so tied and tie-free feature rows mix."""
     n = sum(sizes)
+    X = rng.normal(size=(n, n_features))
     if levels:
-        X = rng.integers(0, levels, size=(n, n_features)).astype(np.float64)
-    else:
-        X = rng.normal(size=(n, n_features))
+        discrete = rng.random(n_features) < 0.5
+        discrete[rng.integers(n_features)] = True
+        X[:, discrete] = rng.integers(0, levels, size=(n, discrete.sum()))
     return X, rng.normal(size=n)
 
 
@@ -328,7 +362,7 @@ class TestAgainstOracles:
     @given(
         n=st.integers(2, 60),
         n_features=st.integers(1, 4),
-        levels=st.sampled_from([0, 2, 3]),  # 0: continuous; k: k distinct values (ties)
+        levels=st.sampled_from([0, 2, 3]),  # 0: continuous; k: some k-level columns (ties)
         seed=st.integers(0, 2**31 - 1),
     )
     def test_root_split_is_the_best_stump(self, n, n_features, levels, seed):
@@ -368,7 +402,7 @@ class TestAgainstOracles:
     @given(
         n=st.integers(2, 60),
         n_features=st.integers(1, 4),
-        levels=st.sampled_from([0, 2, 3]),  # 0: continuous; k: k distinct values (ties)
+        levels=st.sampled_from([0, 2, 3]),  # 0: continuous; k: some k-level columns (ties)
         max_depth=st.integers(2, 4),
         n_estimators=st.integers(1, 3),
         reg_lambda=st.sampled_from([0.0, 1.0, 2.5]),
@@ -417,7 +451,7 @@ class TestMultiRoot:
     @given(
         sizes=st.lists(st.integers(2, 120), min_size=1, max_size=5),
         n_features=st.integers(1, 4),
-        levels=st.sampled_from([0, 2, 3]),  # 0: continuous; k: k distinct values (ties)
+        levels=st.sampled_from([0, 2, 3]),  # 0: continuous; k: some k-level columns (ties)
         max_depth=st.integers(1, 6),
         n_estimators=st.integers(1, 4),
         reg_lambda=st.sampled_from([0.0, 1.0, 2.5]),
@@ -490,6 +524,40 @@ class TestMultiRoot:
             routed = [greedy_route(oracle, row) for row in X[a:b]]
             np.testing.assert_allclose(tree.value[leaf_k], routed, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("case", ["first", "middle", "last", "straddle", "signed_zero"])
+    def test_a_tie_in_any_one_root_is_never_cut(self, case):
+        """Column 1's only equal pair lies in one root (or, for "straddle", its
+        equal values sit either side of each root boundary, which is no tie).
+        The pair's targets pay to be cut apart, so a build that misses the
+        tie cuts between them. -0.0 == 0.0 ties too. Every root's tree equals
+        its single-root build bitwise and cuts only between distinct values."""
+        sizes = [9, 11, 10]
+        bounds = np.cumsum([0] + sizes)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(bounds[-1], 3))
+        y = rng.normal(size=bounds[-1])
+        X[:, 1] = rng.permutation(bounds[-1]) + 1.0  # distinct, none zero
+        if case == "straddle":  # each root's largest value is the next root's smallest
+            for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+                X[a:b, 1] = rng.permutation(np.arange(a, b) - k)
+        else:
+            a = bounds[{"first": 0, "middle": 1, "last": 2, "signed_zero": 1}[case]]
+            X[a : a + 2, 1] = (-0.0, 0.0) if case == "signed_zero" else X[a, 1]
+            y[a : a + 2] = (-20.0, 20.0)
+        presort = _presort(X, sizes)
+        stacked = _TreeBuilder(X, sizes, presort, 3, 1.0)
+        assert stacked.tied.tolist() == ([] if case == "straddle" else [1])
+        trees, leaf = stacked.build(y)
+        models = _fit_core(X, y, 3, 0.5, 3, 1.0, presort, sizes)
+        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            (tree,), leaf_k = _TreeBuilder(X[a:b], [b - a], _presort(X[a:b], [b - a]),
+                                           3, 1.0).build(y[a:b])
+            assert _same_tree(trees[k], tree)
+            assert np.array_equal(leaf[a:b], leaf_k)
+            _assert_same_model(models[k], gbt_fit(X[a:b], y[a:b], 3, 0.5, 3))
+            for t in models[k].trees:
+                _assert_cuts_split_distinct_values(t, X[a:b])
+
     @settings(deadline=None, max_examples=40)
     @given(
         sizes=st.lists(st.integers(2, 60), min_size=1, max_size=4),
@@ -524,7 +592,7 @@ class TestColumnSubsets:
     @given(
         sizes=st.lists(st.integers(2, 60), min_size=1, max_size=4),
         n_features=st.integers(2, 6),
-        levels=st.sampled_from([0, 2, 3]),  # 0: continuous; k: k distinct values (ties)
+        levels=st.sampled_from([0, 2, 3]),  # 0: continuous; k: some k-level columns (ties)
         max_depth=st.integers(1, 4),
         n_estimators=st.integers(1, 5),
         reg_lambda=st.sampled_from([0.0, 1.0, 2.5]),
@@ -588,7 +656,7 @@ class TestMetamorphic:
     FIT = dict(
         n=st.integers(2, 60),
         n_features=st.integers(1, 4),
-        levels=st.sampled_from([0, 2, 3]),  # 0: continuous; k: k distinct values (ties)
+        levels=st.sampled_from([0, 2, 3]),  # 0: continuous; k: some k-level columns (ties)
         max_depth=st.integers(1, 4),
         n_estimators=st.integers(1, 4),
         reg_lambda=st.sampled_from([0.0, 1.0, 2.5]),
