@@ -22,16 +22,6 @@ import numpy as np
 from .dataset import is_finite_number
 
 _ROUTE_CELLS = 1 << 20  # (tree, row) pairs routed at once by gbt_predict
-_MAX_CELLS = np.iinfo(np.int32).max  # flat [feature, row] offsets are int32
-
-
-def _check_cells(n_rows: int, n_features: int) -> None:
-    """Refuse a fit whose flat int32 offsets would wrap, before allocating."""
-    if n_rows * n_features > _MAX_CELLS:
-        raise ValueError(
-            f"{n_rows} rows x {n_features} features is {n_rows * n_features} cells; "
-            f"a tree build holds at most {_MAX_CELLS}"
-        )
 
 
 @dataclass(frozen=True)
@@ -104,7 +94,6 @@ def _presort(X: np.ndarray, sizes) -> np.ndarray:
     presort of that column subset and those blocks.
     """
     n, f = X.shape
-    _check_cells(n, f)
     bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
     sort_rows = np.empty((f, n), dtype=np.int32)
     for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
@@ -138,19 +127,18 @@ class _TreeBuilder:
     A cut between two equal values is no candidate. The builder flags, once,
     the feature rows where some root's presort holds two adjacent equal
     values (`==`: -0.0 ties 0.0; equal values either side of a root
-    boundary do not). Only those tied rows gather their values through the
-    layout each level and mask the equal neighbours; every other row's
-    candidates are the positional ones. A chosen cut's threshold comes from
-    the two values it lies between, read through the layout. Group geometry
-    (run starts, sizes, row-to-group map) is identical across features and
-    computed once per level. A split's right child is always
-    its left child + 1, so trees store only `left`.
+    boundary do not). Each level, only those tied rows gather their values
+    through the layout, a run of adjacent tied rows at a time, and mask the
+    equal neighbours; every other row's candidates are the positional ones.
+    A chosen cut's threshold comes from the two values it lies between, read
+    through the layout. Group geometry (run starts, sizes, row-to-group map)
+    is identical across features and computed once per level. A split's
+    right child is always its left child + 1, so trees store only `left`.
     """
 
     def __init__(self, X: np.ndarray, sizes, sort_rows: np.ndarray, max_depth: int,
                  reg_lambda: float):
         n, f = X.shape
-        _check_cells(n, f)
         self.values = np.ascontiguousarray(X.T)
         self.sizes = np.asarray(sizes, dtype=np.int64)
         bounds = np.concatenate(([0], np.cumsum(self.sizes)))
@@ -159,10 +147,10 @@ class _TreeBuilder:
         self.max_depth = max_depth
         self.lam = reg_lambda
         self.n, self.f = n, f
-        # the presort of exactly these rows and columns (see _presort); values
-        # are gathered by flat offset c*n + row
+        # the presort of exactly these rows and columns (see _presort); feature
+        # row c of an [f, n] scratch block starts at flat offset c*n
         self.sort_rows = sort_rows
-        self.rowoff = (n * np.arange(f, dtype=np.int32))[:, None]
+        self.rowoff = (n * np.arange(f, dtype=np.int64))[:, None]
         self.rows = np.arange(n)
         self.root_first = np.zeros(n + 1, dtype=bool)
         self.root_first[bounds[:-1]] = True
@@ -179,40 +167,21 @@ class _TreeBuilder:
             eq = v[1:] == v[:-1]
             eq[straddle] = False
             tied[c] = eq.any()
-        self.tied = np.flatnonzero(tied)
-        # reusable level scratch; the tied rows' only when some row is tied
+        # runs [a, b) of adjacent feature rows that are all tied or all not
+        cuts = [0, *(np.flatnonzero(np.diff(tied)) + 1).tolist(), f]
+        self.runs = [(a, b, bool(tied[a])) for a, b in zip(cuts[:-1], cuts[1:])]
+        # reusable level scratch; the tied rows' sized to the longest tied run
         self._cums = np.empty((f, n))
         self._gain = np.empty((f, n))
-        if self.tied.size:
-            t = self.tied.size
-            self._tied_off = self.rowoff[self.tied]
-            self._offset = np.empty((t, n), dtype=np.int32)
-            self._vals = np.empty((t, n))
-            self._valid = np.empty((t, n), dtype=bool)
-            if t < f:
-                self._mask = np.empty((f, n), dtype=bool)
+        run = max((b - a for a, b, has_tie in self.runs if has_tie), default=0)
+        self._offset = np.empty((run, n), dtype=np.int64)
+        self._vals = np.empty((run, n))
+        self._valid = np.empty((run, n), dtype=bool)
         # root r numbers its nodes from first[r] in creation order, in a span
         # holding a full binary tree of max_depth clamped by its row count
         caps = [min(2 ** (max_depth + 1) - 1, max(2 * size - 1, 1)) for size in sizes]
         self.first = np.cumsum(caps) - caps
         self.node_root = np.repeat(np.arange(self.n_roots), caps)
-
-    def _tie_mask(self, perm: np.ndarray, candidate: np.ndarray) -> np.ndarray:
-        """[f, n] candidates that also clear each cut between two equal values
-        of a tied row, whose values are gathered through the layout."""
-        t, n = self.tied, self.n
-        every = t.size == self.f
-        rows = perm if every else np.take(perm, t, axis=0, out=self._offset)
-        offset = np.add(rows, self._tied_off, out=self._offset)
-        vals = np.take(self.values, offset, out=self._vals, mode="clip")
-        valid = self._valid
-        np.not_equal(vals[:, 1:], vals[:, :-1], out=valid[:, : n - 1])
-        valid &= candidate  # also clears the row's last position
-        if every:
-            return valid
-        self._mask[...] = candidate
-        self._mask[t] = valid
-        return self._mask
 
     def build(self, residual: np.ndarray) -> tuple[list[Tree], np.ndarray]:
         """Grow one tree per root on the stacked residuals.
@@ -284,7 +253,15 @@ class _TreeBuilder:
             # becomes 0, which no winner (gain > 0) can tie
             candidate = active[gor]
             candidate &= to_end > 0
-            gain *= self._tie_mask(perm, candidate) if self.tied.size else candidate
+            for a, b, has_tie in self.runs:
+                mask = candidate
+                if has_tie:  # values gathered through the layout
+                    offset = np.add(perm[a:b], self.rowoff[a:b], out=self._offset[: b - a])
+                    vals = np.take(self.values, offset, out=self._vals[: b - a], mode="clip")
+                    mask = self._valid[: b - a]
+                    np.not_equal(vals[:, 1:], vals[:, :-1], out=mask[:, :-1])
+                    mask &= candidate  # also clears the row's last position
+                gain[a:b] *= mask
 
             # one reduceat over the whole [f, n] gain block: feature row c
             # occupies positions [c*n, (c+1)*n)

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, logging_at, read_json, require_fields, write_rows
-from .gbt import GbtConfig, _check_cells, _fit_core, _presort, gbt_importance, gbt_predict
+from .gbt import GbtConfig, _fit_core, _presort, gbt_importance, gbt_predict
 
 log = logging.getLogger(__name__)
 
@@ -123,7 +123,6 @@ def _rfecv_group(
     X, y = ds.X, ds.y
     roots = [tr for tr, _ in fold_list] + [np.arange(ds.n_samples)]
     sizes = [len(rows) for rows in roots]
-    _check_cells(sum(sizes), ds.n_features)  # before the stacked copy
     stacked = np.concatenate(roots)
     values, y_all = np.take(X.T, stacked, axis=1), y[stacked]  # [features, rows]
     presort = _presort(values.T, sizes)

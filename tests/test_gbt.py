@@ -163,18 +163,6 @@ class TestFit:
         with pytest.raises(ValueError, match="X has no feature columns"):
             gbt_fit(np.zeros((4, 0)), np.arange(4.0), 2, 0.1, 2)
 
-    def test_a_build_past_int32_offsets_is_refused(self):
-        """Flat [feature, row] offsets are int32, so 2**31 cells or more are
-        refused, naming the shape, before anything is allocated (the inputs
-        here are zero-stride views)."""
-        n, f = 2**27, 16
-        X = np.broadcast_to(np.float64(0.0), (n, f))
-        match = f"{n} rows x {f} features is {n * f} cells"
-        with pytest.raises(ValueError, match=match):
-            _presort(X, [n])
-        with pytest.raises(ValueError, match=match):
-            _TreeBuilder(X, [n], np.broadcast_to(np.int32(0), (f, n)), 1, 1.0)
-
 
 class TestPredict:
     def test_no_trees_returns_base_score(self):
@@ -546,7 +534,8 @@ class TestMultiRoot:
             y[a : a + 2] = (-20.0, 20.0)
         presort = _presort(X, sizes)
         stacked = _TreeBuilder(X, sizes, presort, 3, 1.0)
-        assert stacked.tied.tolist() == ([] if case == "straddle" else [1])
+        assert stacked.runs == ([(0, 3, False)] if case == "straddle" else
+                                [(0, 1, False), (1, 2, True), (2, 3, False)])
         trees, leaf = stacked.build(y)
         models = _fit_core(X, y, 3, 0.5, 3, 1.0, presort, sizes)
         for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):

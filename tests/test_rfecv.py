@@ -182,19 +182,6 @@ class TestRfecvRun:
             with pytest.raises(ValueError, match="max_depth must be an int"):
                 GbtConfig(0.1, 3, bad)
 
-    def test_stacked_roots_past_the_cell_limit_are_refused_before_stacking(self, monkeypatch):
-        """5 folds of 48 training rows plus all 60 rows stack 300 rows x 2
-        features; with the tree build's cell limit just below that, the run
-        fails naming the shape before it stacks or presorts anything."""
-        monkeypatch.setattr(gbt, "_MAX_CELLS", 599)
-
-        def no_presort(*args):
-            raise AssertionError("presorted past the limit")
-
-        monkeypatch.setattr(rfecv, "_presort", no_presort)
-        with pytest.raises(ValueError, match="300 rows x 2 features is 600 cells"):
-            rfecv_run(toy_dataset(), FAST, folds=5)
-
 
 class TestGrid:
     def test_default_grid_has_100_combinations(self):
